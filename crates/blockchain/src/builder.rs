@@ -1,6 +1,6 @@
 use zugchain_crypto::Digest;
 
-use crate::{Block, LoggedRequest};
+use crate::{Block, ChainError, ChainStore, LoggedRequest};
 
 /// Deterministically bundles ordered requests into blocks.
 ///
@@ -96,6 +96,31 @@ impl BlockBuilder {
         Some(block)
     }
 
+    /// [`push`](Self::push), appending a finished block to `store` and
+    /// returning it as stored.
+    ///
+    /// The block's payload hash is computed once, when the block is
+    /// sealed here; unlike [`ChainStore::append`] of an arbitrary block,
+    /// the store does not hash the payloads a second time to check it.
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::WrongHeight`] or [`ChainError::DoesNotExtendHead`]
+    /// if this builder does not chain onto `store`'s head; the builder
+    /// has moved past the block either way.
+    pub fn push_onto<'s>(
+        &mut self,
+        store: &'s mut ChainStore,
+        request: LoggedRequest,
+        time_ms: u64,
+    ) -> Result<Option<&'s Block>, ChainError> {
+        let Some(block) = self.push(request, time_ms) else {
+            return Ok(None);
+        };
+        store.append_sealed(block)?;
+        Ok(store.blocks().last())
+    }
+
     /// Flushes buffered requests into a (possibly undersized) block.
     ///
     /// Used at shutdown or before an urgent export so that no ordered
@@ -178,6 +203,39 @@ mod tests {
         let block = builder.flush(100).expect("pending requests flush");
         assert_eq!(block.requests.len(), 2);
         assert!(builder.flush(200).is_none());
+    }
+
+    #[test]
+    fn push_onto_stores_the_same_blocks_as_push_then_append() {
+        let mut via_push = BlockBuilder::new(2);
+        let mut appended = ChainStore::new();
+        let mut via_push_onto = BlockBuilder::new(2);
+        let mut stored = ChainStore::new();
+        for sn in 1..=5 {
+            let pushed = via_push.push(req(sn), sn * 64);
+            if let Some(block) = pushed.clone() {
+                appended.append(block).unwrap();
+            }
+            let stored_block = via_push_onto
+                .push_onto(&mut stored, req(sn), sn * 64)
+                .unwrap();
+            assert_eq!(stored_block, pushed.as_ref(), "sn {sn}");
+        }
+        assert_eq!(stored.blocks(), appended.blocks());
+        assert_eq!(stored.resident_bytes(), appended.resident_bytes());
+    }
+
+    #[test]
+    fn push_onto_a_foreign_head_is_refused() {
+        let mut builder = BlockBuilder::new(1);
+        let mut store = ChainStore::new();
+        builder.push_onto(&mut store, req(1), 0).unwrap();
+        let mut stale = BlockBuilder::new(1);
+        assert!(matches!(
+            stale.push_onto(&mut store, req(2), 64),
+            Err(ChainError::WrongHeight { .. })
+        ));
+        assert_eq!(store.height(), 1);
     }
 
     #[test]

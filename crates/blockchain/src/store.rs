@@ -196,6 +196,17 @@ impl ChainStore {
     /// * [`ChainError::DoesNotExtendHead`] if the hash link is wrong;
     /// * [`ChainError::InconsistentPayload`] if the payload hash lies.
     pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
+        if !block.payload_is_consistent() {
+            return Err(ChainError::InconsistentPayload);
+        }
+        self.append_sealed(block)
+    }
+
+    /// Appends a block that [`BlockBuilder`](crate::BlockBuilder) just
+    /// sealed: its payload hash was computed from these very requests and
+    /// the block never left the crate, so it is not re-hashed. Height and
+    /// hash link are still checked.
+    pub(crate) fn append_sealed(&mut self, block: Block) -> Result<(), ChainError> {
         let expected_height = self.height() + 1;
         if block.height() != expected_height {
             return Err(ChainError::WrongHeight {
@@ -208,9 +219,6 @@ impl ChainStore {
                 head: self.head_hash(),
                 got: block.header.prev_hash,
             });
-        }
-        if !block.payload_is_consistent() {
-            return Err(ChainError::InconsistentPayload);
         }
         self.resident_bytes += block.encoded_size();
         self.blocks.push(block);

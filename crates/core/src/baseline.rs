@@ -5,7 +5,7 @@ use zugchain_crypto::{Digest, KeyPair, Keystore};
 use zugchain_machine::Effect;
 use zugchain_mvb::{Nsdb, Telegram};
 use zugchain_pbft::{
-    CheckpointProof, NodeId, ProposedRequest, Replica, ReplicaEvent, ReplicaTimer,
+    CheckpointProof, DigestedRequest, NodeId, ProposedRequest, Replica, ReplicaEvent, ReplicaTimer,
 };
 use zugchain_signals::CycleConsolidator;
 use zugchain_wire::{Encode, Writer};
@@ -36,8 +36,9 @@ pub struct BaselineNode {
     sources: Vec<CycleConsolidator>,
     nsdb: Nsdb,
     /// Client state: open requests by framed-payload digest (ordered so
-    /// resends after a view change are deterministic).
-    open: BTreeMap<Digest, ProposedRequest>,
+    /// resends after a view change are deterministic), each kept with
+    /// its digest so resends never re-hash it.
+    open: BTreeMap<Digest, DigestedRequest>,
     client_seq: u64,
     builder: BlockBuilder,
     store: ChainStore,
@@ -109,8 +110,9 @@ impl BaselineNode {
         framed.write_bytes(&payload);
         self.client_seq += 1;
 
-        let request =
-            ProposedRequest::application(framed.into_bytes(), self.id).with_time(self.last_time_ms);
+        let request = DigestedRequest::new(
+            ProposedRequest::application(framed.into_bytes(), self.id).with_time(self.last_time_ms),
+        );
         let digest = request.payload_digest();
         self.open.insert(digest, request.clone());
 
@@ -125,7 +127,7 @@ impl BaselineNode {
             self.replica.propose(request);
             self.pump_replica();
         } else {
-            let signed = SignedRequest::sign(request, &self.key);
+            let signed = SignedRequest::sign(request.into_request(), &self.key);
             let primary = self.replica.primary();
             self.effects.push(Effect::Send {
                 to: primary,
@@ -134,11 +136,10 @@ impl BaselineNode {
         }
     }
 
-    fn on_decide(&mut self, sn: u64, request: ProposedRequest) {
+    fn on_decide(&mut self, sn: u64, request: ProposedRequest, digest: Digest) {
         if request.is_noop() {
             return;
         }
-        let digest = request.payload_digest();
         if self.open.remove(&digest).is_some() {
             self.effects.push(Effect::CancelTimer {
                 id: TimerId::Hard(digest),
@@ -151,18 +152,21 @@ impl BaselineNode {
             sn,
             origin: request.origin,
             payload: request.payload.clone(),
+            digest,
         }));
         let logged = LoggedRequest {
             sn,
             origin: request.origin.0,
             payload: request.payload,
         };
-        if let Some(block) = self.builder.push(logged, request.time_ms) {
+        let sealed = self
+            .builder
+            .push_onto(&mut self.store, logged, request.time_ms)
+            .expect("builder output always extends the local chain")
+            .cloned();
+        if let Some(block) = sealed {
             let block_hash = block.hash();
             let last_sn = block.header.last_sn;
-            self.store
-                .append(block.clone())
-                .expect("builder output always extends the local chain");
             self.stats.blocks_created += 1;
             self.metrics.blocks.inc();
             self.effects
@@ -176,7 +180,7 @@ impl BaselineNode {
         self.effects
             .push(Effect::Output(NodeEvent::NewPrimary { view, primary }));
         // The client resends its open requests to the new primary.
-        let open: Vec<ProposedRequest> = self.open.values().cloned().collect();
+        let open: Vec<DigestedRequest> = self.open.values().cloned().collect();
         for request in open {
             let digest = request.payload_digest();
             self.effects.push(Effect::SetTimer {
@@ -187,7 +191,7 @@ impl BaselineNode {
                 self.stats.proposed += 1;
                 self.replica.propose(request);
             } else {
-                let signed = SignedRequest::sign(request, &self.key);
+                let signed = SignedRequest::sign(request.into_request(), &self.key);
                 self.effects.push(Effect::Send {
                     to: primary,
                     message: NodeMessage::Layer(LayerMessage::ClientRequest(signed)),
@@ -274,8 +278,12 @@ impl BaselineNode {
                         id: TimerId::CollectorCommit(sn),
                     });
                 }
-                Effect::Output(ReplicaEvent::Decide { sn, request }) => {
-                    self.on_decide(sn, request);
+                Effect::Output(ReplicaEvent::Decide {
+                    sn,
+                    request,
+                    payload_digest,
+                }) => {
+                    self.on_decide(sn, request, payload_digest);
                 }
                 Effect::Output(ReplicaEvent::NewPrimary { view, primary }) => {
                     self.on_new_primary(view, primary);
@@ -429,7 +437,11 @@ impl TrainNode for BaselineNode {
     }
 
     fn approx_memory_bytes(&self) -> usize {
-        let open_bytes: usize = self.open.values().map(|r| r.payload.len() + 96).sum();
+        let open_bytes: usize = self
+            .open
+            .values()
+            .map(|r| r.request().payload.len() + 96)
+            .sum();
         self.replica.approx_memory_bytes()
             + self.store.resident_bytes()
             + open_bytes

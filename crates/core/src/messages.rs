@@ -36,11 +36,6 @@ impl SignedRequest {
             )
             .is_ok()
     }
-
-    /// The content identity used for duplicate filtering.
-    pub fn payload_digest(&self) -> Digest {
-        self.request.payload_digest()
-    }
 }
 
 impl Encode for SignedRequest {

@@ -5,7 +5,7 @@ use zugchain_crypto::{Digest, KeyPair, Keystore};
 use zugchain_machine::{Effect, Machine};
 use zugchain_mvb::{Nsdb, Telegram};
 use zugchain_pbft::{
-    CheckpointProof, NodeId, ProposedRequest, Replica, ReplicaEvent, ReplicaTimer,
+    CheckpointProof, DigestedRequest, NodeId, ProposedRequest, Replica, ReplicaEvent, ReplicaTimer,
 };
 use zugchain_signals::CycleConsolidator;
 use zugchain_telemetry::{Span, Stage};
@@ -28,6 +28,9 @@ pub enum NodeEvent {
         origin: NodeId,
         /// The request payload.
         payload: Vec<u8>,
+        /// Digest of `payload`, carried from where the node first hashed
+        /// it (bus ingress or wire decode) — never recomputed.
+        digest: Digest,
     },
     /// A block was bundled and appended to the local chain.
     BlockCreated {
@@ -117,7 +120,9 @@ pub struct NodeStats {
 /// A request known to this node but not yet decided.
 #[derive(Debug, Clone)]
 struct Pending {
-    request: ProposedRequest,
+    /// The request with its payload digest, so re-proposals never
+    /// re-hash it.
+    request: DigestedRequest,
     /// `true` if this node read the request from the bus itself (it is in
     /// the node's own queue R of Alg. 1).
     mine: bool,
@@ -452,14 +457,15 @@ impl ZugchainNode {
         let mut dedup = DedupLog::new(self.config.dedup_window_checkpoints);
         for block in store.blocks() {
             for request in &block.requests {
-                dedup.record(request.payload_digest(), request.sn);
-                if let Some(pending) = self.pending.remove(&request.payload_digest()) {
-                    self.release_open_slot(pending.request.origin, &request.payload_digest());
+                let digest = request.payload_digest();
+                dedup.record(digest, request.sn);
+                if let Some(pending) = self.pending.remove(&digest) {
+                    self.release_open_slot(pending.request.request().origin, &digest);
                     self.effects.push(Effect::CancelTimer {
-                        id: TimerId::Soft(request.payload_digest()),
+                        id: TimerId::Soft(digest),
                     });
                     self.effects.push(Effect::CancelTimer {
-                        id: TimerId::Hard(request.payload_digest()),
+                        id: TimerId::Hard(digest),
                     });
                 }
             }
@@ -525,8 +531,14 @@ impl ZugchainNode {
     }
 
     /// Algorithm 1, `upon RECEIVE(req)` (ln. 5–11).
+    ///
+    /// The payload is hashed here, once; the digest travels with the
+    /// request through propose, decide and log.
     fn handle_local_request(&mut self, payload: Vec<u8>) {
-        let digest = Digest::of(&payload);
+        let request = DigestedRequest::new(
+            ProposedRequest::application(payload, self.id).with_time(self.last_time_ms),
+        );
+        let digest = request.payload_digest();
         if self.dedup.contains(&digest) || self.pending.contains_key(&digest) {
             // Already logged or already in flight: a delayed duplicate
             // delivery from the bus.
@@ -534,7 +546,6 @@ impl ZugchainNode {
             self.metrics.dedup_hits.inc();
             return;
         }
-        let request = ProposedRequest::application(payload, self.id).with_time(self.last_time_ms);
         if self.telemetry.is_enabled() {
             self.trace_origin_spans(&digest);
         }
@@ -604,16 +615,16 @@ impl ZugchainNode {
             .set(self.open_by_origin.len() as i64);
     }
 
-    /// Algorithm 1, `upon DECIDE(r, sn)` (ln. 12–20).
-    fn on_decide(&mut self, sn: u64, request: ProposedRequest) {
+    /// Algorithm 1, `upon DECIDE(r, sn)` (ln. 12–20). `digest` is the
+    /// payload digest the decide carries.
+    fn on_decide(&mut self, sn: u64, request: ProposedRequest, digest: Digest) {
         if request.is_noop() {
             return; // view-change gap filler, nothing to log
         }
-        let digest = request.payload_digest();
 
         // ln. 13–16: clear queue entry and any timers.
         if let Some(pending) = self.pending.remove(&digest) {
-            self.release_open_slot(pending.request.origin, &digest);
+            self.release_open_slot(pending.request.request().origin, &digest);
             self.effects.push(Effect::CancelTimer {
                 id: TimerId::Soft(digest),
             });
@@ -641,6 +652,7 @@ impl ZugchainNode {
             sn,
             origin: request.origin,
             payload: request.payload.clone(),
+            digest,
         }));
         let logged = LoggedRequest {
             sn,
@@ -649,12 +661,14 @@ impl ZugchainNode {
         };
         // Stamp the block with the *agreed* request time, never a local
         // clock: all replicas must bundle bit-identical blocks.
-        if let Some(block) = self.builder.push(logged, request.time_ms) {
+        let sealed = self
+            .builder
+            .push_onto(&mut self.store, logged, request.time_ms)
+            .expect("builder output always extends the local chain")
+            .cloned();
+        if let Some(block) = sealed {
             let block_hash = block.hash();
             let last_sn = block.header.last_sn;
-            self.store
-                .append(block.clone())
-                .expect("builder output always extends the local chain");
             self.stats.blocks_created += 1;
             self.metrics.blocks.inc();
             self.effects
@@ -739,9 +753,9 @@ impl ZugchainNode {
             self.stats.invalid_signatures += 1;
             return;
         }
-        let signed = message.request().clone();
-        let digest = signed.payload_digest();
-        let origin = signed.request.origin;
+        let request = DigestedRequest::new(message.request().request.clone());
+        let digest = request.payload_digest();
+        let origin = request.request().origin;
 
         // ln. 26–27: ignore duplicates already in the log.
         if self.dedup.contains(&digest) {
@@ -768,20 +782,20 @@ impl ZugchainNode {
             self.pending.insert(
                 digest,
                 Pending {
-                    request: signed.request.clone(),
+                    request: request.clone(),
                     mine: false,
                 },
             );
         }
 
         match message {
-            LayerMessage::BroadcastRequest(_) => {
+            LayerMessage::BroadcastRequest(signed) => {
                 if self.is_primary() {
                     // ln. 28–29: propose with the id of the broadcasting
                     // node, unless it is already in flight.
                     if !already_pending {
                         self.stats.proposed += 1;
-                        self.replica.propose(signed.request);
+                        self.replica.propose(request);
                         self.pump_replica();
                     }
                 } else {
@@ -802,7 +816,7 @@ impl ZugchainNode {
             LayerMessage::ForwardRequest(_) => {
                 if self.is_primary() && !already_pending {
                     self.stats.proposed += 1;
-                    self.replica.propose(signed.request);
+                    self.replica.propose(request);
                     self.pump_replica();
                 }
             }
@@ -896,8 +910,12 @@ impl ZugchainNode {
                         id: TimerId::CollectorCommit(sn),
                     });
                 }
-                Effect::Output(ReplicaEvent::Decide { sn, request }) => {
-                    self.on_decide(sn, request);
+                Effect::Output(ReplicaEvent::Decide {
+                    sn,
+                    request,
+                    payload_digest,
+                }) => {
+                    self.on_decide(sn, request, payload_digest);
                 }
                 Effect::Output(ReplicaEvent::NewPrimary { view, primary }) => {
                     self.on_new_primary(view, primary);
@@ -990,7 +1008,7 @@ impl TrainNode for ZugchainNode {
                     return;
                 }
                 self.stats.soft_timeouts += 1;
-                let signed = SignedRequest::sign(pending.request.clone(), &self.key);
+                let signed = SignedRequest::sign(pending.request.request().clone(), &self.key);
                 self.effects.push(Effect::SetTimer {
                     id: TimerId::Hard(digest),
                     duration_ms: self.config.hard_timeout_ms,
@@ -1083,7 +1101,7 @@ impl TrainNode for ZugchainNode {
         let pending_bytes: usize = self
             .pending
             .values()
-            .map(|p| p.request.payload.len() + 96)
+            .map(|p| p.request.request().payload.len() + 96)
             .sum();
         self.replica.approx_memory_bytes()
             + self.store.resident_bytes()

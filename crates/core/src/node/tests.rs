@@ -313,16 +313,12 @@ fn telegram_pipeline_logs_changed_signals() {
     for id in 1..4 {
         assert_eq!(cluster.logged_payload_count(id), count, "node {id}");
     }
-    let digests: Vec<Digest> = cluster
-        .logged_entries(0)
-        .iter()
-        .map(|e| Digest::of(&e.payload))
-        .collect();
+    let digests: Vec<Digest> = cluster.logged_entries(0).iter().map(|e| e.digest).collect();
     for id in 1..4 {
         let other: Vec<Digest> = cluster
             .logged_entries(id)
             .iter()
-            .map(|e| Digest::of(&e.payload))
+            .map(|e| e.digest)
             .collect();
         assert_eq!(other, digests, "logs agree in content and order");
     }
@@ -485,4 +481,48 @@ fn memory_accounting_grows_with_chain() {
     cluster.run_until_quiet();
     let after = cluster.node(0).approx_memory_bytes();
     assert!(after > before + 2 * 512, "chain blocks are accounted");
+}
+
+/// Bytes hashed on this thread while a 4-node cluster (telemetry off)
+/// orders, logs and bundles `requests` distinct payloads of `size` bytes
+/// fed to every node.
+fn bytes_hashed_to_log(size: usize, requests: usize) -> u64 {
+    let mut cluster = Cluster::zugchain(4);
+    let before = zugchain_crypto::bytes_hashed();
+    for tag in 0..requests as u64 {
+        let mut payload = vec![0x5A; size];
+        payload[..8].copy_from_slice(&tag.to_le_bytes());
+        cluster.bus_payload_everywhere(payload);
+        cluster.run_until_quiet();
+    }
+    let hashed = zugchain_crypto::bytes_hashed() - before;
+    for id in 0..4 {
+        assert_eq!(cluster.logged_payload_count(id), requests, "node {id}");
+        assert_eq!(
+            cluster.node(id).chain().height() as usize,
+            requests / 3,
+            "node {id} bundled every request (block size 3)"
+        );
+    }
+    hashed
+}
+
+/// Each node hashes a payload's bytes once at bus ingress and once for
+/// the block commitment; propose, batch, decide, log and the chain
+/// append reuse what was already hashed. The slope of bytes hashed per
+/// decided request per payload byte is therefore exactly 2n.
+#[test]
+fn payload_bytes_are_hashed_twice_per_node() {
+    let n = 4u64;
+    let requests = 6usize;
+    let small = bytes_hashed_to_log(1024, requests);
+    let large = bytes_hashed_to_log(4096, requests);
+    let extra_bytes = requests as u64 * (4096 - 1024);
+    assert_eq!(
+        large - small,
+        2 * n * extra_bytes,
+        "slope {} bytes hashed per payload byte per request, expected {}",
+        (large - small) as f64 / extra_bytes as f64,
+        2 * n
+    );
 }

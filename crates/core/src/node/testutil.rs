@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use zugchain_crypto::{KeyPair, Keystore};
+use zugchain_crypto::{Digest, KeyPair, Keystore};
 use zugchain_machine::Effect;
 use zugchain_mvb::Nsdb;
 use zugchain_pbft::NodeId;
@@ -25,6 +25,8 @@ pub struct LoggedEntry {
     pub origin: NodeId,
     /// Payload bytes.
     pub payload: Vec<u8>,
+    /// The payload digest the log event carried.
+    pub digest: Digest,
 }
 
 /// A synchronous router with virtual time for a group of train nodes.
@@ -204,11 +206,13 @@ impl Cluster {
                     sn,
                     origin,
                     payload,
+                    digest,
                 }) => {
                     self.logged[index].push(LoggedEntry {
                         sn,
                         origin,
                         payload,
+                        digest,
                     });
                 }
                 Effect::Output(NodeEvent::NewPrimary { view, primary }) => {
@@ -270,5 +274,27 @@ impl Cluster {
         };
         let delta = when.saturating_sub(self.now_ms);
         self.advance_time(delta);
+    }
+}
+
+/// Every scenario driven through this harness ends by checking that the
+/// digest each log event carried is its payload's. The check runs at
+/// drop, not per event, so tests that count bytes hashed while the
+/// cluster runs see only the nodes' own hashing.
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        for (index, entries) in self.logged.iter().enumerate() {
+            for entry in entries {
+                assert_eq!(
+                    entry.digest,
+                    Digest::of(&entry.payload),
+                    "node {index} logged sn {} with a digest that is not its payload's",
+                    entry.sn
+                );
+            }
+        }
     }
 }

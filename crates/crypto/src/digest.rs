@@ -1,3 +1,4 @@
+use std::cell::Cell;
 use std::fmt;
 
 use sha2::{Digest as _, Sha256};
@@ -27,6 +28,7 @@ impl Digest {
 
     /// Hashes `data` with SHA-256.
     pub fn of(data: &[u8]) -> Self {
+        count_hashed(data.len());
         Digest(Sha256::digest(data).into())
     }
 
@@ -42,6 +44,7 @@ impl Digest {
     pub fn chain<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Self {
         let mut hasher = Sha256::new();
         for part in parts {
+            count_hashed(8 + part.len());
             hasher.update((part.len() as u64).to_le_bytes());
             hasher.update(part);
         }
@@ -62,6 +65,33 @@ impl Digest {
     pub fn short(&self) -> String {
         self.0[..4].iter().map(|b| format!("{b:02x}")).collect()
     }
+}
+
+thread_local! {
+    static BYTES_HASHED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_hashed(bytes: usize) {
+    BYTES_HASHED.with(|total| total.set(total.get() + bytes as u64));
+}
+
+/// Bytes fed to SHA-256 through [`Digest::of`] and [`Digest::chain`] on
+/// the calling thread since it started (the 8-byte length prefix of each
+/// chained part included).
+///
+/// An exact, shim-independent operation count: the difference between
+/// two readings is the hashing work done in between, deterministic for
+/// a deterministic single-threaded run.
+///
+/// ```
+/// use zugchain_crypto::{bytes_hashed, Digest};
+///
+/// let before = bytes_hashed();
+/// Digest::of(&[0u8; 1024]);
+/// assert_eq!(bytes_hashed() - before, 1024);
+/// ```
+pub fn bytes_hashed() -> u64 {
+    BYTES_HASHED.with(Cell::get)
 }
 
 impl fmt::Debug for Digest {
@@ -143,6 +173,28 @@ mod tests {
         assert_eq!(bytes.len(), 32);
         let back: Digest = zugchain_wire::from_bytes(&bytes).unwrap();
         assert_eq!(back, d);
+    }
+
+    #[test]
+    fn bytes_hashed_counts_every_input_byte() {
+        let before = bytes_hashed();
+        Digest::of(b"abc");
+        Digest::of_encoded(&Digest::ZERO);
+        Digest::chain([b"ab".as_slice(), b"".as_slice()]);
+        assert_eq!(bytes_hashed() - before, 3 + 32 + (8 + 2) + 8);
+    }
+
+    #[test]
+    fn bytes_hashed_is_per_thread() {
+        let before = bytes_hashed();
+        std::thread::spawn(|| Digest::of(&[0u8; 4096]))
+            .join()
+            .unwrap();
+        assert_eq!(
+            bytes_hashed(),
+            before,
+            "other threads' hashing is not counted"
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ mod keystore;
 mod mac;
 
 pub use batch::{verify_batch, BatchItem, BatchOutcome, BatchVerifier};
-pub use digest::Digest;
+pub use digest::{bytes_hashed, Digest};
 pub use keys::{KeyPair, PublicKey, Signature, SignatureError};
 pub use keystore::Keystore;
 pub use mac::{MacKey, MacTag, SessionKeys};

@@ -82,4 +82,6 @@ pub use messages::{
     PreparedCert, SignedMessage, ViewChange, VoteCert,
 };
 pub use replica::{Replica, ReplicaEffect, ReplicaEvent, ReplicaInput, ReplicaStats, ReplicaTimer};
-pub use types::{NodeId, ProposedBatch, ProposedRequest, RequestKind, MAX_WIRE_BATCH_LEN};
+pub use types::{
+    DigestedRequest, NodeId, ProposedBatch, ProposedRequest, RequestKind, MAX_WIRE_BATCH_LEN,
+};

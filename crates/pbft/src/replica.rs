@@ -7,8 +7,9 @@ use zugchain_wire::{derive_span_id, derive_trace_id};
 
 use crate::messages::{Commit, VoteCert};
 use crate::{
-    AuthMode, AuthVerdict, Checkpoint, CheckpointProof, CommMode, Config, Message, NewView, NodeId,
-    PrePrepare, Prepare, PreparedCert, ProposedBatch, ProposedRequest, SignedMessage, ViewChange,
+    AuthMode, AuthVerdict, Checkpoint, CheckpointProof, CommMode, Config, DigestedRequest, Message,
+    NewView, NodeId, PrePrepare, Prepare, PreparedCert, ProposedBatch, ProposedRequest,
+    SignedMessage, ViewChange,
 };
 
 /// The replica's timer vocabulary.
@@ -39,6 +40,9 @@ pub enum ReplicaEvent {
         sn: u64,
         /// The ordered request (may be a no-op gap filler).
         request: ProposedRequest,
+        /// Digest of the request's payload, cached by its batch when
+        /// the batch was built or decoded — consumers never re-hash it.
+        payload_digest: Digest,
     },
     /// A view change completed: the `NEWPRIMARY` up-call of Table I.
     NewPrimary {
@@ -344,8 +348,9 @@ pub struct Replica {
     phase: Option<ViewChangeState>,
     /// Primary only: next sequence number to assign.
     next_sn: u64,
-    /// Primary only: proposals waiting for watermark headroom.
-    backlog: VecDeque<ProposedRequest>,
+    /// Primary only: proposals waiting for watermark headroom, with
+    /// their payload digests so batching never re-hashes them.
+    backlog: VecDeque<DigestedRequest>,
     /// Last stable checkpoint sequence number (low watermark).
     low_watermark: u64,
     /// All decides up to this sequence number have been emitted.
@@ -575,7 +580,11 @@ impl Replica {
                     + (slot.prepares.len() + slot.commits.len()) * 104
             })
             .sum();
-        let backlog_bytes: usize = self.backlog.iter().map(|r| r.payload.len() + 64).sum();
+        let backlog_bytes: usize = self
+            .backlog
+            .iter()
+            .map(|r| r.request().payload.len() + 64)
+            .sum();
         slot_bytes + backlog_bytes
     }
 
@@ -710,12 +719,17 @@ impl Replica {
     /// [`Config::batch_delay_ms`], so latency under light load is
     /// unchanged (with a batch size of 1 every proposal is a full batch
     /// and the timer is never armed).
-    pub fn propose(&mut self, request: ProposedRequest) {
-        if self.telemetry.is_enabled() && !request.is_noop() {
+    ///
+    /// A plain [`ProposedRequest`] has its payload hashed once here; a
+    /// caller that already holds a [`DigestedRequest`] passes it and the
+    /// payload is not hashed again.
+    pub fn propose(&mut self, request: impl Into<DigestedRequest>) {
+        let request = request.into();
+        if self.telemetry.is_enabled() && !request.request().is_noop() {
             // Start of the request's `batch_flush` span: when it entered
             // the backlog (clamped forward to its origin bus time so the
             // per-stage timeline never runs backwards across nodes).
-            let entered = self.telemetry.now_ms().max(request.time_ms);
+            let entered = self.telemetry.now_ms().max(request.request().time_ms);
             self.proposed_at
                 .entry(request.payload_digest())
                 .or_insert(entered);
@@ -747,7 +761,7 @@ impl Replica {
                 break;
             }
             let take = max.min(self.backlog.len());
-            let batch = ProposedBatch::new(self.backlog.drain(..take).collect());
+            let batch = ProposedBatch::from_digested(self.backlog.drain(..take).collect());
             self.next_sn = base + batch.len() as u64;
             let preprepare = PrePrepare {
                 view: self.view,
@@ -1847,31 +1861,33 @@ impl Replica {
             let now = self.telemetry.now_ms();
             let requests = preprepare.batch.into_requests();
             self.metrics.batch_occupancy.observe(requests.len() as u64);
-            for (offset, request) in requests.into_iter().enumerate() {
+            for (offset, (request, payload_digest)) in requests.into_iter().zip(digests).enumerate()
+            {
                 let sn = base + offset as u64;
                 if sn <= self.decided_up_to {
                     continue; // already covered by a state transfer
                 }
                 if self.telemetry.is_enabled() && !request.is_noop() {
-                    if let Some(digest) = digests.get(offset) {
-                        // The decide span closes the consensus phase:
-                        // commit-quorum → in-order execution up-call.
-                        self.proposed_at.remove(digest);
-                        self.emit_slot_spans(
-                            Stage::Decide,
-                            Stage::Commit,
-                            Some(self.id.0),
-                            &[(sn, request.origin.0, *digest)],
-                            t_committed,
-                            now,
-                        );
-                    }
+                    // The decide span closes the consensus phase:
+                    // commit-quorum → in-order execution up-call.
+                    self.proposed_at.remove(&payload_digest);
+                    self.emit_slot_spans(
+                        Stage::Decide,
+                        Stage::Commit,
+                        Some(self.id.0),
+                        &[(sn, request.origin.0, payload_digest)],
+                        t_committed,
+                        now,
+                    );
                 }
                 self.decided_up_to = sn;
                 self.stats.decided += 1;
                 self.metrics.decided.inc();
-                self.effects
-                    .push(Effect::Output(ReplicaEvent::Decide { sn, request }));
+                self.effects.push(Effect::Output(ReplicaEvent::Decide {
+                    sn,
+                    request,
+                    payload_digest,
+                }));
             }
             self.metrics.decided_up_to.set(self.decided_up_to as i64);
         }

@@ -162,7 +162,18 @@ impl Cluster {
                 } => {
                     self.collector_timers[index].remove(&id);
                 }
-                Effect::Output(ReplicaEvent::Decide { sn, request }) => {
+                Effect::Output(ReplicaEvent::Decide {
+                    sn,
+                    request,
+                    payload_digest,
+                }) => {
+                    // Every scenario driven through this harness checks
+                    // that the digest a decide carries is the payload's.
+                    assert_eq!(
+                        payload_digest,
+                        Digest::of(&request.payload),
+                        "{id} decided sn {sn} with a digest that is not its payload's"
+                    );
                     self.collected.decides.push((id, sn, request));
                 }
                 Effect::Output(ReplicaEvent::NewPrimary { view, primary }) => {
@@ -1149,7 +1160,7 @@ fn decides_resume_past_a_vote_only_slot_after_a_mid_batch_checkpoint() {
         .drain_effects()
         .into_iter()
         .filter_map(|effect| match effect {
-            Effect::Output(ReplicaEvent::Decide { sn, request }) => Some((sn, request.payload)),
+            Effect::Output(ReplicaEvent::Decide { sn, request, .. }) => Some((sn, request.payload)),
             _ => None,
         })
         .collect();
@@ -1488,4 +1499,52 @@ fn collector_mode_decides_under_mac_auth() {
         .map(|replica| replica.stats().collector_certs_sent)
         .sum();
     assert_eq!(sent, 4, "MAC envelopes still carry signed votes for certs");
+}
+
+/// Decides carry the payload digest their batch cached, in every mode:
+/// batch size 1 and 16, signatures and MACs, all-to-all and collector
+/// votes, before and after a view change. (The harness's `pump` checks
+/// every decide's digest against its payload, so the no-op gap fill,
+/// state-transfer and fallback scenarios above are covered as well.)
+#[test]
+fn decides_carry_the_payload_digest_in_every_mode() {
+    for batch in [1usize, 16] {
+        for auth in [AuthMode::Sig, AuthMode::MacWithSigFallback] {
+            for comm in [CommMode::AllToAll, CommMode::Collector] {
+                let config = Config::new(4)
+                    .unwrap()
+                    .with_max_batch_size(batch)
+                    .with_auth_mode(auth)
+                    .with_comm_mode(comm);
+                let mut cluster = Cluster::with_config(4, config);
+                for tag in 1..=5 {
+                    cluster.replicas[0].propose(request(tag, 0));
+                }
+                cluster.run_until_quiet();
+                cluster.fire_batch_timers();
+                cluster.replicas[1].suspect(NodeId(0));
+                cluster.replicas[2].suspect(NodeId(0));
+                cluster.run_until_quiet();
+                for tag in 6..=8 {
+                    cluster.replicas[1].propose(request(tag, 1));
+                }
+                cluster.run_until_quiet();
+                cluster.fire_batch_timers();
+                cluster.fire_collector_timers();
+                for id in 0..4 {
+                    let payloads: Vec<Vec<u8>> = cluster
+                        .decides_on(id)
+                        .into_iter()
+                        .map(|(_, payload)| payload)
+                        .filter(|payload| !payload.is_empty())
+                        .collect();
+                    let expected: Vec<Vec<u8>> = (1..=8).map(|tag| vec![tag; 16]).collect();
+                    assert_eq!(
+                        payloads, expected,
+                        "replica {id}, batch {batch}, {auth:?}, {comm:?}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -131,6 +131,51 @@ impl ProposedRequest {
     }
 }
 
+/// A [`ProposedRequest`] together with its payload digest.
+///
+/// The only way to build one is to hash the request's payload (via
+/// [`new`](Self::new) or `From<ProposedRequest>`), so the digest it
+/// carries always matches its bytes. A layer that already holds a
+/// `DigestedRequest` hands it to [`Replica::propose`](crate::Replica::propose)
+/// and the payload is not hashed again on the way into a batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DigestedRequest {
+    request: ProposedRequest,
+    payload_digest: Digest,
+}
+
+impl DigestedRequest {
+    /// Hashes `request`'s payload once and keeps the digest with it.
+    pub fn new(request: ProposedRequest) -> Self {
+        let payload_digest = request.payload_digest();
+        Self {
+            request,
+            payload_digest,
+        }
+    }
+
+    /// The request.
+    pub fn request(&self) -> &ProposedRequest {
+        &self.request
+    }
+
+    /// The digest of the request's payload.
+    pub fn payload_digest(&self) -> Digest {
+        self.payload_digest
+    }
+
+    /// Gives up the digest, yielding the request.
+    pub fn into_request(self) -> ProposedRequest {
+        self.request
+    }
+}
+
+impl From<ProposedRequest> for DigestedRequest {
+    fn from(request: ProposedRequest) -> Self {
+        Self::new(request)
+    }
+}
+
 impl Encode for ProposedRequest {
     fn encode(&self, w: &mut Writer) {
         self.kind.encode(w);
@@ -194,8 +239,36 @@ impl ProposedBatch {
     ///
     /// Panics if `requests` is empty.
     pub fn new(requests: Vec<ProposedRequest>) -> Self {
+        let payload_digests = requests
+            .iter()
+            .map(ProposedRequest::payload_digest)
+            .collect();
+        Self::assemble(requests, payload_digests)
+    }
+
+    /// Builds a batch from requests whose payloads were already hashed,
+    /// reusing their digests: only the short order-binding chain is
+    /// hashed here. Equal to [`new`](Self::new) over the same requests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` is empty.
+    pub(crate) fn from_digested(requests: Vec<DigestedRequest>) -> Self {
+        let (requests, payload_digests) = requests
+            .into_iter()
+            .map(|digested| (digested.request, digested.payload_digest))
+            .unzip();
+        Self::assemble(requests, payload_digests)
+    }
+
+    /// Wraps a single request — the unbatched protocol's unit.
+    pub fn single(request: ProposedRequest) -> Self {
+        Self::new(vec![request])
+    }
+
+    fn assemble(requests: Vec<ProposedRequest>, payload_digests: Vec<Digest>) -> Self {
         assert!(!requests.is_empty(), "batches are never empty");
-        let (digest, payload_digests) = Self::digests_of(&requests);
+        let digest = Self::chain_digest(&requests, &payload_digests);
         Self {
             inner: Arc::new(BatchInner {
                 requests,
@@ -205,16 +278,7 @@ impl ProposedBatch {
         }
     }
 
-    /// Wraps a single request — the unbatched protocol's unit.
-    pub fn single(request: ProposedRequest) -> Self {
-        Self::new(vec![request])
-    }
-
-    fn digests_of(requests: &[ProposedRequest]) -> (Digest, Vec<Digest>) {
-        let payload_digests: Vec<Digest> = requests
-            .iter()
-            .map(ProposedRequest::payload_digest)
-            .collect();
+    fn chain_digest(requests: &[ProposedRequest], payload_digests: &[Digest]) -> Digest {
         // One chained hash binds the request count, the order, every
         // header field, and every payload digest. Payload bytes are not
         // touched again here.
@@ -233,11 +297,11 @@ impl ProposedBatch {
                 header
             })
             .collect();
-        for (header, payload_digest) in headers.iter().zip(&payload_digests) {
+        for (header, payload_digest) in headers.iter().zip(payload_digests) {
             parts.push(header.as_slice());
             parts.push(payload_digest.as_bytes().as_slice());
         }
-        (Digest::chain(parts), payload_digests)
+        Digest::chain(parts)
     }
 
     /// The batch digest — what prepares and commits certify.
@@ -441,6 +505,45 @@ mod tests {
         );
         assert_ne!(tampered.payload_digests()[1], batch.payload_digests()[1]);
         assert_eq!(tampered.payload_digests()[0], batch.payload_digests()[0]);
+    }
+
+    proptest::proptest! {
+        /// A batch assembled from carried payload digests is the batch
+        /// `new` hashes itself: same order-binding digest, same
+        /// cached payload digests, same wire bytes.
+        #[test]
+        fn batch_from_carried_digests_equals_a_freshly_hashed_batch(
+            runs in proptest::collection::vec(
+                (
+                    proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+                    proptest::prelude::any::<u64>(),
+                    proptest::prelude::any::<u64>(),
+                    proptest::prelude::any::<bool>(),
+                ),
+                1..24,
+            )
+        ) {
+            let requests: Vec<ProposedRequest> = runs
+                .into_iter()
+                .map(|(payload, origin, time_ms, noop)| {
+                    if noop {
+                        ProposedRequest::noop(NodeId(origin))
+                    } else {
+                        ProposedRequest::application(payload, NodeId(origin)).with_time(time_ms)
+                    }
+                })
+                .collect();
+            let fresh = ProposedBatch::new(requests.clone());
+            let carried =
+                ProposedBatch::from_digested(requests.into_iter().map(DigestedRequest::new).collect());
+            proptest::prop_assert_eq!(carried.digest(), fresh.digest());
+            proptest::prop_assert_eq!(carried.payload_digests(), fresh.payload_digests());
+            proptest::prop_assert_eq!(
+                zugchain_wire::to_bytes(&carried),
+                zugchain_wire::to_bytes(&fresh)
+            );
+            proptest::prop_assert_eq!(carried, fresh);
+        }
     }
 
     #[test]

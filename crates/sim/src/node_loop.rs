@@ -20,7 +20,6 @@ use zugchain::{
     ZugchainNode,
 };
 use zugchain_blockchain::DiskStore;
-use zugchain_crypto::Digest;
 use zugchain_machine::{Driver, Frame, Host};
 use zugchain_mvb::Telegram;
 use zugchain_pbft::NodeId;
@@ -119,13 +118,14 @@ impl<T: PeerLink> Host<TrainMachine<ZugchainNode>> for ThreadHost<'_, T> {
                 sn,
                 origin,
                 payload,
+                digest,
             } => {
                 let _ = self.events.send(ClusterEvent::Logged {
                     node: self.id,
                     sn,
                     origin,
                     payload_len: payload.len(),
-                    digest: Digest::of(&payload),
+                    digest,
                 });
             }
             NodeEvent::BlockCreated { block } => {

@@ -239,11 +239,12 @@ impl World {
         }
     }
 
-    /// Maps a logged payload back to its bus-payload digest (baseline
-    /// logs client-framed payloads).
-    fn payload_identity(&self, logged: &[u8]) -> Digest {
+    /// Maps a logged payload back to its bus-payload digest: ZugChain
+    /// logs the bus payload itself, so the digest the log event carries
+    /// is already its identity; the baseline logs client-framed payloads.
+    fn payload_identity(&self, logged: &[u8], digest: Digest) -> Digest {
         match self.config.mode {
-            Mode::Zugchain => Digest::of(logged),
+            Mode::Zugchain => digest,
             Mode::Baseline => {
                 // Framing: client id (u64) + client seq (u64) + bytes.
                 let mut reader = zugchain_wire::Reader::new(logged);
@@ -254,7 +255,7 @@ impl World {
                 })();
                 match inner {
                     Ok(inner) if reader.is_empty() => Digest::of(&inner),
-                    _ => Digest::of(logged),
+                    _ => digest,
                 }
             }
         }
@@ -408,8 +409,13 @@ impl Host<TrainMachine<Box<dyn TrainNode>>> for SimHost<'_> {
     fn output(&mut self, event: NodeEvent) {
         let node = self.node;
         match event {
-            NodeEvent::Logged { sn, payload, .. } => {
-                let digest = self.world.payload_identity(&payload);
+            NodeEvent::Logged {
+                sn,
+                payload,
+                digest,
+                ..
+            } => {
+                let digest = self.world.payload_identity(&payload, digest);
                 self.world.decided[node].push((sn, digest));
                 if let Some(birth) = self.world.births.get(&digest).copied() {
                     if self.world.first_logged.insert(digest) {

@@ -133,6 +133,11 @@ macro_rules! live_decided {
 }
 
 /// Asserts the invariants every runtime's decided logs must satisfy.
+///
+/// The logged digests are the ones each runtime's log events carry from
+/// the node's ingress hash (never recomputed from the payload), so
+/// matching them against `Digest::of` of the scripted payloads also
+/// checks every carried digest, in every scenario below.
 fn check_one_runtime(decided: &[Vec<(u64, Digest)>], runtime: &str) {
     let expected: Vec<Digest> = payloads().iter().map(|p| Digest::of(p)).collect();
     // The crashed node decided exactly the pre-crash prefix.
@@ -387,8 +392,13 @@ fn mixed_mode_group_orders_identically() {
             for effect in replica.drain_effects() {
                 match effect {
                     Effect::Broadcast { message } => traffic.push(message),
-                    Effect::Output(ReplicaEvent::Decide { sn, request }) => {
-                        logs[node].push((sn, request.payload_digest()));
+                    Effect::Output(ReplicaEvent::Decide {
+                        sn,
+                        request,
+                        payload_digest,
+                    }) => {
+                        assert_eq!(payload_digest, Digest::of(&request.payload));
+                        logs[node].push((sn, payload_digest));
                     }
                     _ => {}
                 }
