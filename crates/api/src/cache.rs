@@ -11,7 +11,8 @@
 //!   under `(train, from_sn, limit)`; a partial page touches the tail
 //!   and is never inserted;
 //! * an **audit bundle** is derived from one sealed segment — cacheable
-//!   under `(train, sn)` once it exists (missing sns are not cached:
+//!   under `(train, height)` of the block holding the requested sn, so
+//!   every sn of one block shares one entry (missing sns are not cached:
 //!   they may appear later);
 //! * a **timeline** spans the whole archive, so its key carries the
 //!   segment count observed *in the same read-lock snapshot* that

@@ -6,24 +6,7 @@
 
 use std::fmt::Write as _;
 
-/// Escapes `raw` as the contents of a JSON string literal (no quotes).
-pub fn escape(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use zugchain_telemetry::escape_into;
 
 /// Builder for one JSON object (`{...}`).
 #[derive(Debug)]
@@ -46,7 +29,9 @@ impl JsonObject {
             self.buf.push(',');
         }
         self.first = false;
-        let _ = write!(self.buf, "\"{}\":", escape(name));
+        self.buf.push('"');
+        escape_into(&mut self.buf, name);
+        self.buf.push_str("\":");
     }
 
     /// Adds an unsigned integer field.
@@ -61,7 +46,25 @@ impl JsonObject {
     #[must_use]
     pub fn field_str(mut self, name: &str, value: &str) -> Self {
         self.key(name);
-        let _ = write!(self.buf, "\"{}\"", escape(value));
+        self.buf.push('"');
+        escape_into(&mut self.buf, value);
+        self.buf.push('"');
+        self
+    }
+
+    /// Adds `bytes` as a string of lowercase hex digits — the text a
+    /// digest's `Display` prints, written without an intermediate string.
+    #[must_use]
+    pub fn field_hex(mut self, name: &str, bytes: &[u8]) -> Self {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.key(name);
+        self.buf.reserve(bytes.len() * 2 + 2);
+        self.buf.push('"');
+        for &byte in bytes {
+            self.buf.push(HEX[usize::from(byte >> 4)] as char);
+            self.buf.push(HEX[usize::from(byte & 0xf)] as char);
+        }
+        self.buf.push('"');
         self
     }
 
@@ -114,11 +117,12 @@ pub fn array(elements: impl IntoIterator<Item = String>) -> String {
 
 /// Renders a JSON array of (escaped) strings.
 pub fn string_array<S: AsRef<str>>(elements: impl IntoIterator<Item = S>) -> String {
-    array(
-        elements
-            .into_iter()
-            .map(|s| format!("\"{}\"", escape(s.as_ref()))),
-    )
+    array(elements.into_iter().map(|s| {
+        let mut quoted = String::from('"');
+        escape_into(&mut quoted, s.as_ref());
+        quoted.push('"');
+        quoted
+    }))
 }
 
 #[cfg(test)]
@@ -127,7 +131,18 @@ mod tests {
 
     #[test]
     fn escapes_quotes_and_control_bytes() {
-        assert_eq!(escape("a\"b\\c\n\u{1}"), "a\\\"b\\\\c\\n\\u0001");
+        let text = JsonObject::new()
+            .field_str("k\"", "a\"b\\c\n\u{1}")
+            .finish();
+        assert_eq!(text, "{\"k\\\"\":\"a\\\"b\\\\c\\n\\u0001\"}");
+    }
+
+    #[test]
+    fn hex_fields_are_lowercase_digit_pairs() {
+        let text = JsonObject::new()
+            .field_hex("h", &[0x00, 0xab, 0x0f])
+            .finish();
+        assert_eq!(text, "{\"h\":\"00ab0f\"}");
     }
 
     #[test]

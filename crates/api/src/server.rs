@@ -373,16 +373,16 @@ impl ApiService {
         for train in self.backend.trains() {
             let Some(row) = self.backend.with_train(train, |archive| {
                 let head = archive.head();
-                JsonObject::new()
+                let row = JsonObject::new()
                     .field_u64("train", train.0)
-                    .field_opt_u64("head_height", head.map(|(h, _)| h))
-                    .field_raw(
-                        "head_hash",
-                        &head.map_or("null".to_string(), |(_, hash)| format!("\"{hash}\"")),
-                    )
-                    .field_u64("segments", archive.segment_count() as u64)
-                    .field_u64("requests", archive.request_count() as u64)
-                    .finish()
+                    .field_opt_u64("head_height", head.map(|(h, _)| h));
+                match head {
+                    Some((_, hash)) => row.field_hex("head_hash", hash.as_bytes()),
+                    None => row.field_raw("head_hash", "null"),
+                }
+                .field_u64("segments", archive.segment_count() as u64)
+                .field_u64("requests", archive.request_count() as u64)
+                .finish()
             }) else {
                 continue;
             };
@@ -593,9 +593,23 @@ impl ApiService {
 
     fn serve_bundle(&self, train: TrainId, sn: u64) -> Response {
         // A bundle is derived from one sealed segment: immutable once
-        // it exists. Missing sns are *not* cached — they may be sealed
-        // into a segment later.
-        let key = format!("bundle/{}/{sn}", train.0);
+        // it exists. Every sn of a block gets the same bundle, so the
+        // key is the block's height, resolved under the shard read lock.
+        // Missing sns are *not* cached — they may be sealed into a
+        // segment later.
+        let missing = || {
+            Response::json(
+                404,
+                error_body(&format!("no archived block contains sn {sn}")),
+            )
+        };
+        let Some(height) = self.backend.with_train(train, |a| a.height_of_sn(sn)) else {
+            return Response::json(404, error_body(&format!("unknown train {train}")));
+        };
+        let Some(height) = height else {
+            return missing();
+        };
+        let key = format!("bundle/{}/{height}", train.0);
         if let Some(hit) = self.cache.get(&key) {
             self.metrics.cache_hits.inc();
             return Response {
@@ -607,14 +621,10 @@ impl ApiService {
         }
         self.metrics.cache_misses.inc();
 
-        let Some(bundle) = self.backend.with_train(train, |a| a.bundle_by_sn(sn)) else {
-            return Response::json(404, error_body(&format!("unknown train {train}")));
-        };
-        let Some(bundle) = bundle else {
-            return Response::json(
-                404,
-                error_body(&format!("no archived block contains sn {sn}")),
-            );
+        // The archive is append-only, so the height resolved above is
+        // still archived under this second read lock.
+        let Some(Some(bundle)) = self.backend.with_train(train, |a| a.audit_bundle(height)) else {
+            return missing();
         };
         let bytes = Arc::new(bundle.to_zab_bytes());
         self.cache
@@ -632,7 +642,7 @@ impl ApiService {
 fn render_block_info(info: &BlockInfo) -> String {
     JsonObject::new()
         .field_u64("height", info.height)
-        .field_str("hash", &info.hash.to_string())
+        .field_hex("hash", info.hash.as_bytes())
         .field_u64("first_sn", info.first_sn)
         .field_u64("last_sn", info.last_sn)
         .field_u64("time_ms", info.time_ms)

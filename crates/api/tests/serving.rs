@@ -221,6 +221,52 @@ fn bundle_fetched_over_http_verifies_offline() {
 }
 
 #[test]
+fn bundles_are_cached_once_per_block() {
+    let (mut server, registry, _) = served(ApiConfig::open());
+    let mut client = HttpClient::new(server.address());
+
+    // sns 11 and 12 share the 6th block (2 requests per block): one
+    // bundle, one cache entry.
+    let first = client.get("/v1/trains/7/bundle/11", None).unwrap();
+    assert_eq!(first.status, 200);
+    let hits = counter(&registry, "zugchain_api_cache_hits_total");
+    let misses = counter(&registry, "zugchain_api_cache_misses_total");
+    let second = client.get("/v1/trains/7/bundle/12", None).unwrap();
+    assert_eq!(second.status, 200);
+    assert_eq!(second.body, first.body, "one block, one bundle");
+    assert_eq!(
+        counter(&registry, "zugchain_api_cache_hits_total"),
+        hits + 1
+    );
+    assert_eq!(
+        counter(&registry, "zugchain_api_cache_misses_total"),
+        misses,
+        "the block's second sn must not miss",
+    );
+
+    // The next block's first sn is a different entry.
+    let next = client.get("/v1/trains/7/bundle/13", None).unwrap();
+    assert_eq!(next.status, 200);
+    assert_ne!(next.body, first.body);
+    assert_eq!(
+        counter(&registry, "zugchain_api_cache_misses_total"),
+        misses + 1
+    );
+
+    // A missing sn is a 404 and is never cached: asking again is still
+    // a 404, not a hit.
+    let hits = counter(&registry, "zugchain_api_cache_hits_total");
+    for _ in 0..2 {
+        assert_eq!(
+            client.get("/v1/trains/7/bundle/9999", None).unwrap().status,
+            404
+        );
+    }
+    assert_eq!(counter(&registry, "zugchain_api_cache_hits_total"), hits);
+    server.stop();
+}
+
+#[test]
 fn unknown_trains_and_bad_parameters_are_client_errors() {
     let (mut server, _, _) = served(ApiConfig::open());
     let mut client = HttpClient::new(server.address());

@@ -35,8 +35,8 @@ use zugchain_wire::{decode_seq, encode_seq, Decode, Encode, Reader, TrainId, Wir
 
 use crate::bundle::AuditBundle;
 use crate::index::{ArchiveIndex, EventKind, RequestLocation};
-use crate::merkle::MerklePath;
-use crate::segment::{block_leaves, Segment, SegmentViolation};
+use crate::merkle::MerkleTree;
+use crate::segment::{Segment, SegmentViolation};
 
 /// Magic prefix of a segment (`.zas`) file.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"ZGS1";
@@ -262,6 +262,39 @@ impl SegmentStore {
     }
 }
 
+/// A segment that passed [`Segment::verify`], with the Merkle tree that
+/// verification rebuilt from its blocks.
+///
+/// The read path takes every commitment it serves from here and hashes
+/// nothing: a block's hash is the next block's `prev_hash` (or the
+/// segment's `head_hash` for the last block), which `verify_chain` and
+/// the head check proved, and an inclusion path is read off `tree`.
+#[derive(Debug)]
+struct Sealed {
+    segment: Segment,
+    tree: MerkleTree,
+}
+
+impl Sealed {
+    /// Fully verifies `segment` and keeps the tree verification built.
+    fn verify(
+        segment: Segment,
+        keystore: &Keystore,
+        quorum: usize,
+    ) -> Result<Self, SegmentViolation> {
+        let tree = segment.verified_tree(keystore, quorum)?;
+        Ok(Sealed { segment, tree })
+    }
+
+    /// The hash of the block at `index`, read from the verified linkage.
+    fn block_hash(&self, index: usize) -> Digest {
+        match self.segment.blocks.get(index + 1) {
+            Some(next) => next.header.prev_hash,
+            None => self.segment.header.head_hash,
+        }
+    }
+}
+
 /// The juridical archive: verified, indexed, durable block storage on the
 /// data-center side of the export protocol.
 #[derive(Debug)]
@@ -273,7 +306,7 @@ pub struct Archive {
     keystore: Keystore,
     quorum: usize,
     storage: Option<SegmentStore>,
-    segments: Vec<Segment>,
+    segments: Vec<Sealed>,
     index: ArchiveIndex,
     metrics: ArchiveMetrics,
     telemetry: zugchain_telemetry::Telemetry,
@@ -397,7 +430,7 @@ impl Archive {
         // Walk segment files ascending; the first gap, damaged file,
         // wrong embedded seq, chain discontinuity, or verification
         // failure truncates the rest.
-        let mut segments: Vec<Segment> = Vec::new();
+        let mut segments: Vec<Sealed> = Vec::new();
         let mut damaged = false;
         for seq in storage.seqs()? {
             if !damaged {
@@ -405,23 +438,25 @@ impl Archive {
                 let continuous = |segment: &Segment| match segments.last() {
                     None => true,
                     Some(prev) => {
-                        segment.header.base_height == prev.header.last_height
-                            && segment.header.base_hash == prev.header.head_hash
+                        segment.header.base_height == prev.segment.header.last_height
+                            && segment.header.base_hash == prev.segment.header.head_hash
                     }
                 };
-                match storage.read_segment(seq) {
-                    Ok(segment)
-                        if seq == expected_seq
+                let sealed = storage
+                    .read_segment(seq)
+                    .ok()
+                    .filter(|segment| {
+                        seq == expected_seq
                             && segment.header.seq == seq
                             && segment.header.train == train
-                            && continuous(&segment)
-                            && segment.verify(&keystore, quorum).is_ok() =>
-                    {
-                        segments.push(segment);
-                        continue;
-                    }
-                    _ => damaged = true,
+                            && continuous(segment)
+                    })
+                    .and_then(|segment| Sealed::verify(segment, &keystore, quorum).ok());
+                if let Some(sealed) = sealed {
+                    segments.push(sealed);
+                    continue;
                 }
+                damaged = true;
             }
             storage.remove_segment(seq)?;
             report.segments_discarded.push(seq);
@@ -431,6 +466,7 @@ impl Archive {
         // The summary only detects divergence; segments always win.
         let expected: Vec<IndexEntry> = segments
             .iter()
+            .map(|s| &s.segment)
             .map(|s| IndexEntry {
                 seq: s.header.seq,
                 last_height: s.header.last_height,
@@ -443,8 +479,8 @@ impl Archive {
         }
 
         let mut index = ArchiveIndex::new();
-        for segment in &segments {
-            for block in &segment.blocks {
+        for sealed in &segments {
+            for block in &sealed.segment.blocks {
                 index.index_block(block);
             }
         }
@@ -473,7 +509,7 @@ impl Archive {
     pub fn head(&self) -> Option<(u64, Digest)> {
         self.segments
             .last()
-            .map(|s| (s.header.last_height, s.header.head_hash))
+            .map(|s| (s.segment.header.last_height, s.segment.header.head_hash))
     }
 
     /// The highest archived BFT sequence number, or `None` while the
@@ -481,7 +517,7 @@ impl Archive {
     pub fn head_sn(&self) -> Option<u64> {
         self.segments
             .last()
-            .and_then(|s| s.blocks.last())
+            .and_then(|s| s.segment.blocks.last())
             .map(|b| b.header.last_sn)
     }
 
@@ -497,7 +533,7 @@ impl Archive {
 
     /// All archived blocks, ascending by height — one contiguous run.
     pub fn blocks(&self) -> impl Iterator<Item = &Block> {
-        self.segments.iter().flat_map(|s| s.blocks.iter())
+        self.segments.iter().flat_map(|s| s.segment.blocks.iter())
     }
 
     /// Verifies and ingests one certified segment from the export path,
@@ -616,16 +652,17 @@ impl Archive {
         }
         let seq = self.segments.len() as u64;
         let segment = Segment::build(seq, certified)?;
-        segment.verify(&self.keystore, self.quorum)?;
+        let sealed = Sealed::verify(segment, &self.keystore, self.quorum)?;
 
         if let Some(storage) = &self.storage {
             storage
-                .write_segment(&segment)
+                .write_segment(&sealed.segment)
                 .map_err(|e| IngestError::Io(e.to_string()))?;
             let mut entries: Vec<IndexEntry> = self
                 .segments
                 .iter()
-                .chain(std::iter::once(&segment))
+                .chain(std::iter::once(&sealed))
+                .map(|s| &s.segment)
                 .map(|s| IndexEntry {
                     seq: s.header.seq,
                     last_height: s.header.last_height,
@@ -638,27 +675,27 @@ impl Archive {
                 .map_err(|e| IngestError::Io(e.to_string()))?;
         }
 
-        for block in &segment.blocks {
+        for block in &sealed.segment.blocks {
             self.index.index_block(block);
         }
-        self.segments.push(segment);
+        self.segments.push(sealed);
         Ok(seq)
     }
 
-    fn segment_of_height(&self, height: u64) -> Option<&Segment> {
+    /// The sealed segment holding `height` and the block's index in it.
+    fn locate(&self, height: u64) -> Option<(&Sealed, usize)> {
         let idx = self
             .segments
-            .partition_point(|s| s.header.last_height < height);
-        let segment = self.segments.get(idx)?;
-        (segment.header.first_height <= height).then_some(segment)
+            .partition_point(|s| s.segment.header.last_height < height);
+        let sealed = self.segments.get(idx)?;
+        let first = sealed.segment.header.first_height;
+        (first <= height).then_some((sealed, (height - first) as usize))
     }
 
     /// The archived block at `height`, if any.
     pub fn block_at(&self, height: u64) -> Option<&Block> {
-        let segment = self.segment_of_height(height)?;
-        segment
-            .blocks
-            .get((height - segment.header.first_height) as usize)
+        let (sealed, index) = self.locate(height)?;
+        sealed.segment.blocks.get(index)
     }
 
     /// The archived block containing BFT sequence number `sn`, if any.
@@ -683,18 +720,20 @@ impl Archive {
     pub fn page_by_sn(&self, from_sn: u64, limit: usize) -> Vec<BlockInfo> {
         let limit = limit.min(Self::MAX_PAGE_LIMIT);
         let mut out = Vec::with_capacity(limit.min(256));
-        let seg_idx = self
-            .segments
-            .partition_point(|s| !s.blocks.last().is_some_and(|b| b.header.last_sn >= from_sn));
-        'segments: for segment in &self.segments[seg_idx..] {
-            let start = segment
+        let seg_idx = self.segments.partition_point(|s| {
+            !s.segment
                 .blocks
-                .partition_point(|b| b.header.last_sn < from_sn);
-            for block in &segment.blocks[start..] {
+                .last()
+                .is_some_and(|b| b.header.last_sn >= from_sn)
+        });
+        'segments: for sealed in &self.segments[seg_idx..] {
+            let blocks = &sealed.segment.blocks;
+            let start = blocks.partition_point(|b| b.header.last_sn < from_sn);
+            for (index, block) in blocks.iter().enumerate().skip(start) {
                 if out.len() >= limit {
                     break 'segments;
                 }
-                out.push(BlockInfo::of(block));
+                out.push(BlockInfo::with_hash(block, sealed.block_hash(index)));
             }
         }
         out
@@ -704,7 +743,14 @@ impl Archive {
     /// number `sn` — the shape the serving layer's bundle download uses
     /// (readers know sns from block pages, not archive heights).
     pub fn bundle_by_sn(&self, sn: u64) -> Option<AuditBundle> {
-        self.audit_bundle(self.index.height_of_sn(sn)?)
+        self.audit_bundle(self.height_of_sn(sn)?)
+    }
+
+    /// Height of the archived block containing sequence number `sn`, if
+    /// any — every sn of one block maps to the same height (and so to the
+    /// same audit bundle).
+    pub fn height_of_sn(&self, sn: u64) -> Option<u64> {
+        self.index.height_of_sn(sn)
     }
 
     fn resolve(&self, locations: Vec<RequestLocation>) -> Vec<(u64, u64, Request)> {
@@ -749,16 +795,18 @@ impl Archive {
     /// Builds a court-ready [`AuditBundle`] for the block at `height`:
     /// the block bytes, its Merkle inclusion path, the header chain to
     /// the segment head, and the checkpoint certificate.
+    ///
+    /// Nothing is hashed: the path and root come from the tree kept when
+    /// the segment was verified.
     pub fn audit_bundle(&self, height: u64) -> Option<AuditBundle> {
-        let segment = self.segment_of_height(height)?;
-        let idx = (height - segment.header.first_height) as usize;
-        let leaves = block_leaves(self.train, &segment.blocks);
+        let (sealed, idx) = self.locate(height)?;
+        let segment = &sealed.segment;
         self.metrics.bundle_builds.inc();
         Some(AuditBundle {
             train: self.train,
             block_bytes: zugchain_wire::to_bytes(&segment.blocks[idx]),
-            merkle_path: MerklePath::build(&leaves, idx),
-            merkle_root: segment.header.merkle_root,
+            merkle_path: sealed.tree.path(idx),
+            merkle_root: sealed.tree.root(),
             link_headers: segment.blocks[idx + 1..]
                 .iter()
                 .map(|b| b.header.clone())
@@ -808,9 +856,14 @@ pub struct BlockInfo {
 impl BlockInfo {
     /// Summarizes one archived block.
     pub fn of(block: &Block) -> Self {
+        Self::with_hash(block, block.hash())
+    }
+
+    /// Summarizes `block` whose hash the caller already knows.
+    fn with_hash(block: &Block, hash: Digest) -> Self {
         BlockInfo {
             height: block.header.height,
-            hash: block.hash(),
+            hash,
             first_sn: block.header.first_sn,
             last_sn: block.header.last_sn,
             time_ms: block.header.time_ms,

@@ -35,22 +35,72 @@ fn node_digest(left: &Digest, right: &Digest) -> Digest {
 /// The root of an empty leaf set is defined as [`Digest::ZERO`]; archived
 /// segments are never empty, so this case only arises in codec tests.
 pub fn merkle_root(leaves: &[Digest]) -> Digest {
-    if leaves.is_empty() {
-        return Digest::ZERO;
-    }
-    let mut level = leaves.to_vec();
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            match pair {
-                [left, right] => next.push(node_digest(left, right)),
-                [lone] => next.push(*lone),
-                _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
-            }
+    MerkleTree::new(leaves.to_vec()).root()
+}
+
+/// Every level of one Merkle tree, leaves first and the root last —
+/// what the archive keeps per verified segment so that inclusion paths
+/// are read out rather than re-hashed.
+#[derive(Debug)]
+pub(crate) struct MerkleTree {
+    levels: Vec<Vec<Digest>>,
+}
+
+impl MerkleTree {
+    /// Builds every level above `leaves`, hashing each interior node
+    /// once: pairs are combined left to right, and an unpaired last node
+    /// is carried up unchanged.
+    pub(crate) fn new(leaves: Vec<Digest>) -> Self {
+        let mut levels = vec![leaves];
+        while let Some(level) = levels.last().filter(|level| level.len() > 1) {
+            let next = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [left, right] => node_digest(left, right),
+                    [lone] => *lone,
+                    _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
+                })
+                .collect();
+            levels.push(next);
         }
-        level = next;
+        MerkleTree { levels }
     }
-    level[0]
+
+    /// The root, or [`Digest::ZERO`] for a tree without leaves.
+    pub(crate) fn root(&self) -> Digest {
+        self.levels
+            .last()
+            .and_then(|level| level.first())
+            .copied()
+            .unwrap_or(Digest::ZERO)
+    }
+
+    /// The inclusion path of leaf `leaf_index`, read from the kept
+    /// levels (no hashing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaf_index` is out of bounds.
+    pub(crate) fn path(&self, leaf_index: usize) -> MerklePath {
+        assert!(
+            leaf_index < self.levels[0].len(),
+            "leaf index within segment"
+        );
+        let mut index = leaf_index;
+        let steps = self.levels[..self.levels.len() - 1]
+            .iter()
+            .filter_map(|level| {
+                let sibling_index = index ^ 1;
+                let step = level.get(sibling_index).map(|&sibling| MerkleStep {
+                    sibling_is_left: sibling_index < index,
+                    sibling,
+                });
+                index /= 2;
+                step
+            })
+            .collect();
+        MerklePath { steps }
+    }
 }
 
 /// One step of a Merkle inclusion path: the sibling digest and which side
@@ -97,30 +147,7 @@ impl MerklePath {
     /// Panics if `leaf_index` is out of bounds — callers index into their
     /// own segment.
     pub fn build(leaves: &[Digest], leaf_index: usize) -> Self {
-        assert!(leaf_index < leaves.len(), "leaf index within segment");
-        let mut steps = Vec::new();
-        let mut level = leaves.to_vec();
-        let mut index = leaf_index;
-        while level.len() > 1 {
-            let sibling_index = index ^ 1;
-            if sibling_index < level.len() {
-                steps.push(MerkleStep {
-                    sibling_is_left: sibling_index < index,
-                    sibling: level[sibling_index],
-                });
-            }
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            for pair in level.chunks(2) {
-                match pair {
-                    [left, right] => next.push(node_digest(left, right)),
-                    [lone] => next.push(*lone),
-                    _ => unreachable!(),
-                }
-            }
-            level = next;
-            index /= 2;
-        }
-        MerklePath { steps }
+        MerkleTree::new(leaves.to_vec()).path(leaf_index)
     }
 
     /// Recomputes the root this path proves for `leaf`.

@@ -18,7 +18,7 @@ use zugchain_export::CertifiedSegment;
 use zugchain_pbft::CheckpointProof;
 use zugchain_wire::{decode_seq, encode_seq, Decode, Encode, Reader, TrainId, WireError, Writer};
 
-use crate::merkle::{leaf_digest, merkle_root};
+use crate::merkle::{leaf_digest, merkle_root, MerkleTree};
 
 /// Derived commitments over one segment's blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,6 +228,19 @@ impl Segment {
     ///
     /// The first [`SegmentViolation`] found.
     pub fn verify(&self, keystore: &Keystore, quorum: usize) -> Result<(), SegmentViolation> {
+        self.verified_tree(keystore, quorum).map(drop)
+    }
+
+    /// [`Segment::verify`], returning the Merkle tree it rebuilt from the
+    /// blocks to check `merkle_root`. The archive keeps this tree so that
+    /// audit bundles read their inclusion paths instead of re-hashing
+    /// the segment; it is derived only from blocks that passed every
+    /// check, never from the decoded header.
+    pub(crate) fn verified_tree(
+        &self,
+        keystore: &Keystore,
+        quorum: usize,
+    ) -> Result<MerkleTree, SegmentViolation> {
         let first = self.blocks.first().ok_or(SegmentViolation::Empty)?;
         let last = self.blocks.last().expect("nonempty");
         if first.height() != self.header.base_height + 1 {
@@ -248,7 +261,8 @@ impl Segment {
         if self.header.head_hash != last.hash() {
             return mismatch("head_hash");
         }
-        if self.header.merkle_root != merkle_root(&block_leaves(self.header.train, &self.blocks)) {
+        let tree = MerkleTree::new(block_leaves(self.header.train, &self.blocks));
+        if self.header.merkle_root != tree.root() {
             return mismatch("merkle_root");
         }
         let min = self
@@ -279,7 +293,7 @@ impl Segment {
         if !self.proof.verify(keystore, quorum) {
             return Err(SegmentViolation::BadCertificate);
         }
-        Ok(())
+        Ok(tree)
     }
 }
 

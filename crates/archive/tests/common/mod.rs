@@ -70,11 +70,21 @@ pub fn certified_chain_for_train(
     n_segments: usize,
     blocks_per_segment: usize,
 ) -> Vec<CertifiedSegment> {
+    certified_chain_sized(train, pairs, &vec![blocks_per_segment; n_segments])
+}
+
+/// As [`certified_chain_for_train`], with one entry of `sizes` per
+/// segment giving its block count.
+pub fn certified_chain_sized(
+    train: TrainId,
+    pairs: &[KeyPair],
+    sizes: &[usize],
+) -> Vec<CertifiedSegment> {
     let mut builder = BlockBuilder::new(2);
     let mut base = Block::genesis();
     let mut segments = Vec::new();
     let mut sn = 0u64;
-    for _ in 0..n_segments {
+    for &blocks_per_segment in sizes {
         let mut blocks = Vec::new();
         while blocks.len() < blocks_per_segment {
             sn += 1;

@@ -220,7 +220,8 @@ fn bench_timeline(c: &mut Criterion, engine: &QueryEngine, head_sn: u64) {
 }
 
 /// Audit-bundle assembly through the serving path (cache off: each
-/// download re-proves Merkle membership from the index).
+/// download reads the Merkle path kept for its segment and frames the
+/// bundle).
 fn bench_bundle(c: &mut Criterion, engine: &QueryEngine, head_sn: u64) {
     let cold = service(engine, 0);
     let request = Request {

@@ -32,21 +32,46 @@ impl JsonValue {
     }
 }
 
-/// Escapes `s` for use inside a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `s` to `out`, escaped for use inside a JSON string literal
+/// (no quotes added): `"` and `\` are backslash-escaped, `\n`, `\r` and
+/// `\t` use their short forms, and the remaining control characters
+/// below U+0020 become `\u00XX`.
+///
+/// Runs of bytes that need no escaping are copied in one piece, so a
+/// string without any (every key and most values) costs one `push_str`.
+/// All escaped characters are ASCII, so scanning bytes never splits a
+/// multi-byte character.
+///
+/// ```
+/// let mut out = String::new();
+/// zugchain_telemetry::escape_into(&mut out, "a\"b\n\u{1}");
+/// assert_eq!(out, "a\\\"b\\n\\u0001");
+/// ```
+pub fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut copied = 0;
+    for (i, &byte) in bytes.iter().enumerate() {
+        let short = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        copied = i + 1;
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(byte >> 4)] as char);
+            out.push(HEX[usize::from(byte & 0xf)] as char);
+        } else {
+            out.push_str(short);
         }
     }
-    out
+    out.push_str(&s[copied..]);
 }
 
 /// Writes one `"key":value` pair onto `out` (comma-prefixed when not
@@ -57,14 +82,14 @@ pub(crate) fn push_field(out: &mut String, first: &mut bool, key: &str, value: &
     }
     *first = false;
     out.push('"');
-    out.push_str(&escape(key));
+    escape_into(out, key);
     out.push_str("\":");
     match value {
         JsonValue::U64(v) => out.push_str(&v.to_string()),
         JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         JsonValue::Str(s) => {
             out.push('"');
-            out.push_str(&escape(s));
+            escape_into(out, s);
             out.push('"');
         }
     }

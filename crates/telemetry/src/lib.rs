@@ -33,7 +33,7 @@ mod metrics;
 mod recorder;
 mod span;
 
-pub use json::{parse_flat_object, JsonValue};
+pub use json::{escape_into, parse_flat_object, JsonValue};
 pub use metrics::{
     bucket_index, bucket_upper_bound, parse_prometheus, Counter, Gauge, Histogram,
     HistogramSnapshot, ParsedSample, Registry, Sample, SampleValue, HISTOGRAM_BUCKETS,
