@@ -134,84 +134,43 @@ impl ThreadedCluster {
         dir: impl AsRef<std::path::Path>,
     ) -> Self {
         let dir = dir.as_ref().to_path_buf();
-        let (pairs, keystore) = Keystore::generate(n, 0xC10C);
-        let (event_tx, event_rx) = unbounded();
-        let registry = Arc::new(Registry::new());
-        let traces = Arc::new(TraceStore::new());
-        let telemetry: Vec<Telemetry> = (0..n)
-            .map(|id| {
-                Telemetry::new_with_store(
-                    id as u64,
-                    Arc::clone(&registry),
-                    config.trace_capacity,
-                    Some(Arc::clone(&traces)),
-                )
-            })
-            .collect();
-        let channels: Vec<(Sender<LoopInput>, Receiver<LoopInput>)> =
-            (0..n).map(|_| bounded(4096)).collect();
-        let inboxes: Vec<Sender<LoopInput>> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-
-        let handles = channels
-            .into_iter()
-            .enumerate()
-            .map(|(id, (_, rx))| {
-                let disk = DiskStore::open(dir.join(format!("node-{id}")))
-                    .expect("open per-node block directory");
-                let blocks = disk.load_chain().expect("disk chain loads and verifies");
-                let proofs: Vec<zugchain_pbft::CheckpointProof> = disk
-                    .load_proofs()
-                    .expect("proofs load")
-                    .into_iter()
-                    .map(|(_, bytes)| zugchain_wire::from_bytes(&bytes).expect("proof decodes"))
-                    .collect();
-                // Keep the chain up to the last proven block; anything
-                // after it lacked a stable checkpoint at power loss and
-                // is recovered from peers via state transfer instead.
-                let last_proven = proofs
-                    .last()
-                    .expect("recovery requires a stable checkpoint")
-                    .checkpoint
-                    .state_digest;
-                let mut store = ChainStore::new();
-                for block in blocks {
-                    let hash = block.hash();
-                    store.append(block).expect("verified chain appends");
-                    if hash == last_proven {
-                        break;
-                    }
+        Self::spawn(n, &config, |id, pair, keystore| {
+            let disk = DiskStore::open(dir.join(format!("node-{id}")))
+                .expect("open per-node block directory");
+            let blocks = disk.load_chain().expect("disk chain loads and verifies");
+            let proofs: Vec<zugchain_pbft::CheckpointProof> = disk
+                .load_proofs()
+                .expect("proofs load")
+                .into_iter()
+                .map(|(_, bytes)| zugchain_wire::from_bytes(&bytes).expect("proof decodes"))
+                .collect();
+            // Keep the chain up to the last proven block; anything
+            // after it lacked a stable checkpoint at power loss and
+            // is recovered from peers via state transfer instead.
+            let last_proven = proofs
+                .last()
+                .expect("recovery requires a stable checkpoint")
+                .checkpoint
+                .state_digest;
+            let mut store = ChainStore::new();
+            for block in blocks {
+                let hash = block.hash();
+                store.append(block).expect("verified chain appends");
+                if hash == last_proven {
+                    break;
                 }
-                let node = ZugchainNode::recover(
-                    id as u64,
-                    config.clone(),
-                    Nsdb::jru_default(),
-                    pairs[id].clone(),
-                    keystore.clone(),
-                    store,
-                    proofs,
-                );
-                let link = ChannelLink {
-                    peers: inboxes.clone(),
-                };
-                let events = event_tx.clone();
-                let node_telemetry = telemetry[id].clone();
-                std::thread::Builder::new()
-                    .name(format!("zugchain-node-{id}"))
-                    .spawn(move || node_loop(node, rx, link, events, Some(disk), node_telemetry))
-                    .expect("spawn node thread")
-            })
-            .collect();
-
-        Self {
-            inboxes,
-            events: event_rx,
-            handles,
-            registry,
-            telemetry,
-            traces,
-            keystore,
-            pairs,
-        }
+            }
+            let node = ZugchainNode::recover(
+                id as u64,
+                config.clone(),
+                Nsdb::jru_default(),
+                pair.clone(),
+                keystore.clone(),
+                store,
+                proofs,
+            );
+            (node, Some(disk))
+        })
     }
 
     fn build(
@@ -219,6 +178,31 @@ impl ThreadedCluster {
         config: NodeConfig,
         nsdb: Nsdb,
         disk_dir: Option<std::path::PathBuf>,
+    ) -> Self {
+        Self::spawn(n, &config, |id, pair, keystore| {
+            let node = ZugchainNode::new(
+                id as u64,
+                config.clone(),
+                nsdb.clone(),
+                pair.clone(),
+                keystore.clone(),
+            );
+            let disk = disk_dir.as_ref().map(|dir| {
+                DiskStore::open(dir.join(format!("node-{id}")))
+                    .expect("create per-node block directory")
+            });
+            (node, disk)
+        })
+    }
+
+    /// Wires `n` nodes into one cluster: the group keys, a shared
+    /// registry and trace store, per-node telemetry and inboxes, and one
+    /// thread per node. `make_node` builds node `id` (fresh, or
+    /// recovered from disk) with its block directory, if it has one.
+    fn spawn(
+        n: usize,
+        config: &NodeConfig,
+        mut make_node: impl FnMut(usize, &KeyPair, &Keystore) -> (ZugchainNode, Option<DiskStore>),
     ) -> Self {
         let (pairs, keystore) = Keystore::generate(n, 0xC10C);
         let (event_tx, event_rx) = unbounded();
@@ -242,21 +226,11 @@ impl ThreadedCluster {
             .into_iter()
             .enumerate()
             .map(|(id, (_, rx))| {
-                let node = ZugchainNode::new(
-                    id as u64,
-                    config.clone(),
-                    nsdb.clone(),
-                    pairs[id].clone(),
-                    keystore.clone(),
-                );
+                let (node, disk) = make_node(id, &pairs[id], &keystore);
                 let link = ChannelLink {
                     peers: inboxes.clone(),
                 };
                 let events = event_tx.clone();
-                let disk = disk_dir.as_ref().map(|dir| {
-                    DiskStore::open(dir.join(format!("node-{id}")))
-                        .expect("create per-node block directory")
-                });
                 let node_telemetry = telemetry[id].clone();
                 std::thread::Builder::new()
                     .name(format!("zugchain-node-{id}"))

@@ -46,6 +46,8 @@ pub use span::{
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
+use span::SharedRing;
+
 /// Default flight-recorder capacity (events retained per node).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
@@ -76,14 +78,19 @@ struct TelemetryInner {
     /// runtime only has to drive the parent handle's clock.
     now_ms: Arc<AtomicU64>,
     recorder: Mutex<FlightRecorder>,
-    /// Span ring alongside the flight recorder, same capacity.
-    spans: Mutex<SpanBuffer>,
-    /// Cluster-shared cross-node join point, when the runtime wired one.
+    /// Span ring alongside the flight recorder, same capacity: the only
+    /// copy of this handle's spans, registered with `trace_store`.
+    spans: SharedRing,
+    /// Cluster-shared cross-node view, when the runtime wired one.
     trace_store: Option<Arc<TraceStore>>,
     /// `zugchain_stage_latency_ms{stage=...}` handles, resolved once on
     /// the first span so the per-span path never takes the registry
     /// lock.
     stage_latency: OnceLock<Vec<Histogram>>,
+    /// `zugchain_telemetry_dropped_total{ring="span"|"event"}`, resolved
+    /// on the first eviction for the same reason.
+    dropped_spans: OnceLock<Counter>,
+    dropped_events: OnceLock<Counter>,
     registry: Arc<Registry>,
 }
 
@@ -110,9 +117,8 @@ impl Telemetry {
     }
 
     /// Like [`Telemetry::new`] with a cluster-shared [`TraceStore`]:
-    /// spans recorded through this handle land in the node's private
-    /// ring *and* in `store`, joining them with every other node that
-    /// shares it.
+    /// this handle's span ring is registered with `store`, which joins
+    /// it with every other node's ring at read time.
     pub fn new_with_store(
         node: u64,
         registry: Arc<Registry>,
@@ -120,19 +126,14 @@ impl Telemetry {
         store: Option<Arc<TraceStore>>,
     ) -> Self {
         Self {
-            inner: Some(Arc::new(TelemetryInner {
+            inner: Some(Arc::new(TelemetryInner::new(
                 node,
-                node_label: node.to_string(),
-                train_label: None,
-                train_id: 0,
+                None,
                 trace_capacity,
-                now_ms: Arc::new(AtomicU64::new(0)),
-                recorder: Mutex::new(FlightRecorder::new(trace_capacity)),
-                spans: Mutex::new(SpanBuffer::new(trace_capacity)),
-                trace_store: store,
-                stage_latency: OnceLock::new(),
+                Arc::new(AtomicU64::new(0)),
+                store,
                 registry,
-            })),
+            ))),
         }
     }
 
@@ -140,25 +141,20 @@ impl Telemetry {
     /// it resolves carry a `train="<id>"` label in addition to the
     /// `node="<id>"` label. The derived handle shares the registry and
     /// trace store **and the runtime clock** but owns a fresh flight
-    /// recorder and span ring. Deriving from a disabled handle stays
-    /// disabled.
+    /// recorder and span ring (registered with the store). Deriving from
+    /// a disabled handle stays disabled.
     pub fn for_train(&self, train: u64) -> Telemetry {
         match &self.inner {
             None => Telemetry::disabled(),
             Some(inner) => Telemetry {
-                inner: Some(Arc::new(TelemetryInner {
-                    node: inner.node,
-                    node_label: inner.node_label.clone(),
-                    train_label: Some(train.to_string()),
-                    train_id: train,
-                    trace_capacity: inner.trace_capacity,
-                    now_ms: Arc::clone(&inner.now_ms),
-                    recorder: Mutex::new(FlightRecorder::new(inner.trace_capacity)),
-                    spans: Mutex::new(SpanBuffer::new(inner.trace_capacity)),
-                    trace_store: inner.trace_store.clone(),
-                    stage_latency: OnceLock::new(),
-                    registry: Arc::clone(&inner.registry),
-                })),
+                inner: Some(Arc::new(TelemetryInner::new(
+                    inner.node,
+                    Some(train),
+                    inner.trace_capacity,
+                    Arc::clone(&inner.now_ms),
+                    inner.trace_store.clone(),
+                    Arc::clone(&inner.registry),
+                ))),
             },
         }
     }
@@ -207,15 +203,17 @@ impl Telemetry {
         if let Some(inner) = &self.inner {
             let t = inner.now_ms.load(Ordering::Relaxed);
             let mut recorder = inner.recorder.lock().expect("recorder poisoned");
-            recorder.record(t, inner.node, event());
+            if recorder.record(t, inner.node, event()) {
+                inner.count_drop(&inner.dropped_events, "event");
+            }
         }
     }
 
-    /// Records one causal span: it lands in this node's span ring, the
-    /// cluster-shared [`TraceStore`] (when wired), and the
-    /// `zugchain_stage_latency_ms{stage=...}` histogram family. The
-    /// closure only runs when enabled, so a disabled handle pays one
-    /// branch.
+    /// Records one causal span: it is observed by the
+    /// `zugchain_stage_latency_ms{stage=...}` histogram family and
+    /// stored once, in this handle's span ring (which the cluster-shared
+    /// [`TraceStore`], when wired, reads). The closure only runs when
+    /// enabled, so a disabled handle pays one branch.
     pub fn record_span(&self, make: impl FnOnce() -> Span) {
         let Some(inner) = &self.inner else { return };
         let span = make();
@@ -231,20 +229,10 @@ impl Telemetry {
                 .collect()
         });
         stage_hist[span.stage.order()].observe(span.latency_ms());
-        if let Some(store) = &inner.trace_store {
-            store.record(span.clone());
+        let mut ring = inner.spans.lock().expect("span buffer poisoned");
+        if ring.record(span) {
+            inner.count_drop(&inner.dropped_spans, "span");
         }
-        inner
-            .spans
-            .lock()
-            .expect("span buffer poisoned")
-            .record(span);
-    }
-
-    /// The cluster-shared trace store behind this handle, if one was
-    /// wired at construction.
-    pub fn trace_store(&self) -> Option<Arc<TraceStore>> {
-        self.inner.as_ref()?.trace_store.clone()
     }
 
     /// Dumps this node's span ring as JSONL, oldest span first. Empty
@@ -369,6 +357,49 @@ fn panic_dump() -> String {
 }
 
 impl TelemetryInner {
+    /// A handle's state with a fresh flight recorder and span ring, the
+    /// ring registered with `store` when one is given.
+    fn new(
+        node: u64,
+        train: Option<u64>,
+        trace_capacity: usize,
+        now_ms: Arc<AtomicU64>,
+        store: Option<Arc<TraceStore>>,
+        registry: Arc<Registry>,
+    ) -> Self {
+        let spans: SharedRing = Arc::new(Mutex::new(SpanBuffer::new(trace_capacity)));
+        if let Some(store) = &store {
+            store.register(Arc::clone(&spans));
+        }
+        Self {
+            node,
+            node_label: node.to_string(),
+            train_label: train.map(|t| t.to_string()),
+            train_id: train.unwrap_or(0),
+            trace_capacity,
+            now_ms,
+            recorder: Mutex::new(FlightRecorder::new(trace_capacity)),
+            spans,
+            trace_store: store,
+            stage_latency: OnceLock::new(),
+            dropped_spans: OnceLock::new(),
+            dropped_events: OnceLock::new(),
+            registry,
+        }
+    }
+
+    /// Counts one eviction from `ring`, resolving the counter on first
+    /// use.
+    fn count_drop(&self, counter: &OnceLock<Counter>, ring: &str) {
+        counter
+            .get_or_init(|| {
+                let labels = self.with_node_label(&[("ring", ring)]);
+                self.registry
+                    .counter("zugchain_telemetry_dropped_total", &labels)
+            })
+            .inc();
+    }
+
     fn with_node_label(&self, labels: &[(&str, &str)]) -> Vec<(String, String)> {
         let mut all = Vec::with_capacity(labels.len() + 2);
         all.push(("node".to_string(), self.node_label.clone()));

@@ -223,6 +223,12 @@ impl Metric {
 
 type MetricKey = (String, Vec<(String, String)>);
 
+/// A registry key: the name with its labels sorted.
+fn metric_key(name: &str, mut labels: Vec<(String, String)>) -> MetricKey {
+    labels.sort();
+    (name.to_string(), labels)
+}
+
 /// The shared metrics registry of one cluster: every node's
 /// [`crate::Telemetry`] handle publishes into the same registry, so one
 /// snapshot covers the whole deployment.
@@ -306,11 +312,11 @@ impl Registry {
         labels: &[(String, String)],
         create: impl FnOnce() -> Metric,
     ) -> Metric {
-        let mut labels: Vec<(String, String)> = labels.to_vec();
-        labels.sort();
-        let key = (name.to_string(), labels);
         let mut metrics = self.metrics.lock().expect("registry poisoned");
-        metrics.entry(key).or_insert_with(create).clone()
+        metrics
+            .entry(metric_key(name, labels.to_vec()))
+            .or_insert_with(create)
+            .clone()
     }
 
     /// Reads one counter's current value, if registered.
@@ -342,12 +348,8 @@ impl Registry {
     }
 
     fn lookup(&self, name: &str, labels: &[(&str, &str)]) -> Option<Metric> {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        let key = (name.to_string(), labels);
+        let labels = labels.iter().map(|(k, v)| (k.to_string(), v.to_string()));
+        let key = metric_key(name, labels.collect());
         self.metrics
             .lock()
             .expect("registry poisoned")
@@ -432,18 +434,10 @@ impl Registry {
                         render_labels(&sample.labels, Some("+Inf")),
                         h.count
                     ));
-                    out.push_str(&format!(
-                        "{}_sum{} {}\n",
-                        sample.name,
-                        render_labels(&sample.labels, None),
-                        h.sum
-                    ));
-                    out.push_str(&format!(
-                        "{}_count{} {}\n",
-                        sample.name,
-                        render_labels(&sample.labels, None),
-                        h.count
-                    ));
+                    for (suffix, value) in [("sum", h.sum), ("count", h.count)] {
+                        let labels = render_labels(&sample.labels, None);
+                        out.push_str(&format!("{}_{suffix}{labels} {value}\n", sample.name));
+                    }
                 }
             }
         }

@@ -220,9 +220,11 @@ impl FlightRecorder {
         }
     }
 
-    /// Appends an event, evicting the oldest when full.
-    pub fn record(&mut self, time_ms: u64, node: u64, event: TraceEvent) {
-        if self.events.len() == self.capacity {
+    /// Appends an event, evicting the oldest when full. Returns whether
+    /// an event was evicted.
+    pub fn record(&mut self, time_ms: u64, node: u64, event: TraceEvent) -> bool {
+        let evicted = self.events.len() == self.capacity;
+        if evicted {
             self.events.pop_front();
         }
         self.events.push_back(TraceRecord {
@@ -232,6 +234,7 @@ impl FlightRecorder {
             event,
         });
         self.next_seq += 1;
+        evicted
     }
 
     /// Number of retained events.

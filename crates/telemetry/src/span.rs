@@ -4,13 +4,14 @@
 //! A [`Span`] is one pipeline stage of one request's lifecycle on one
 //! node, timestamped from the same runtime-driven clock as the flight
 //! recorder — virtual milliseconds under the simulator, so a seeded run
-//! dumps byte-identical spans. Spans land in a per-node ring buffer
-//! (like the flight recorder) *and*, when the runtime wires one up, in
-//! a cluster-shared [`TraceStore`] that joins spans across nodes by
-//! trace id so the serving layer can assemble a whole lifecycle.
+//! dumps byte-identical spans. Each span is stored once, in its node's
+//! bounded ring buffer (like the flight recorder); when the runtime
+//! wires one up, a cluster-shared [`TraceStore`] reads every node's ring
+//! and joins spans by trace id so the serving layer can assemble a whole
+//! lifecycle.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::json::{parse_flat_object, push_field, JsonValue};
 
@@ -94,28 +95,32 @@ impl std::fmt::Display for Stage {
 }
 
 /// One stage of one request's lifecycle on one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The derived `Ord` is the canonical order, so field order matters:
+/// by trace, then stage order, node, and start and end time; the
+/// remaining fields only break exact ties.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Span {
     /// Trace this span belongs to
     /// ([`zugchain_wire::derive_trace_id`]-compatible; never 0 for a
     /// real span).
     pub trace_id: u64,
-    /// This span's id ([`zugchain_wire::derive_span_id`]-compatible).
-    pub span_id: u64,
-    /// The causal parent's span id (0 for the root `record` span).
-    pub parent_span: u64,
     /// Pipeline stage.
     pub stage: Stage,
     /// Recording node.
     pub node: u64,
-    /// Train the trace belongs to (0 for the default train).
-    pub train: u64,
-    /// Consensus sequence number, once assigned (0 before ordering).
-    pub sn: u64,
     /// Stage start on the trace clock.
     pub start_ms: u64,
     /// Stage end on the trace clock (`>= start_ms`).
     pub end_ms: u64,
+    /// This span's id ([`zugchain_wire::derive_span_id`]-compatible).
+    pub span_id: u64,
+    /// The causal parent's span id (0 for the root `record` span).
+    pub parent_span: u64,
+    /// Train the trace belongs to (0 for the default train).
+    pub train: u64,
+    /// Consensus sequence number, once assigned (0 before ordering).
+    pub sn: u64,
 }
 
 impl Span {
@@ -128,40 +133,19 @@ impl Span {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         let mut first = true;
-        push_field(
-            &mut out,
-            &mut first,
-            "trace_id",
-            &JsonValue::U64(self.trace_id),
-        );
-        push_field(
-            &mut out,
-            &mut first,
-            "span_id",
-            &JsonValue::U64(self.span_id),
-        );
-        push_field(
-            &mut out,
-            &mut first,
-            "parent_span",
-            &JsonValue::U64(self.parent_span),
-        );
-        push_field(
-            &mut out,
-            &mut first,
-            "stage",
-            &JsonValue::Str(self.stage.as_str().to_string()),
-        );
-        push_field(&mut out, &mut first, "node", &JsonValue::U64(self.node));
-        push_field(&mut out, &mut first, "train", &JsonValue::U64(self.train));
-        push_field(&mut out, &mut first, "sn", &JsonValue::U64(self.sn));
-        push_field(
-            &mut out,
-            &mut first,
-            "start_ms",
-            &JsonValue::U64(self.start_ms),
-        );
-        push_field(&mut out, &mut first, "end_ms", &JsonValue::U64(self.end_ms));
+        for (key, value) in [
+            ("trace_id", JsonValue::U64(self.trace_id)),
+            ("span_id", JsonValue::U64(self.span_id)),
+            ("parent_span", JsonValue::U64(self.parent_span)),
+            ("stage", JsonValue::Str(self.stage.as_str().to_string())),
+            ("node", JsonValue::U64(self.node)),
+            ("train", JsonValue::U64(self.train)),
+            ("sn", JsonValue::U64(self.sn)),
+            ("start_ms", JsonValue::U64(self.start_ms)),
+            ("end_ms", JsonValue::U64(self.end_ms)),
+        ] {
+            push_field(&mut out, &mut first, key, &value);
+        }
         out.push('}');
         out
     }
@@ -209,9 +193,9 @@ pub fn parse_span_jsonl(text: &str) -> Result<Vec<Span>, String> {
     Ok(spans)
 }
 
-/// A fixed-capacity ring of spans: one per node, alongside the flight
-/// recorder, so a post-mortem has the node's own span tail even when no
-/// shared store was wired.
+/// A fixed-capacity ring of spans, one per recording handle alongside
+/// its flight recorder: the only copy of each span, which a
+/// [`TraceStore`] reads in place.
 #[derive(Debug)]
 pub struct SpanBuffer {
     capacity: usize,
@@ -227,27 +211,20 @@ impl SpanBuffer {
         }
     }
 
-    /// Appends a span, evicting the oldest when full.
-    pub fn record(&mut self, span: Span) {
-        if self.spans.len() == self.capacity {
+    /// Appends a span, evicting the oldest when full. Returns whether a
+    /// span was evicted.
+    pub fn record(&mut self, span: Span) -> bool {
+        let evicted = self.spans.len() == self.capacity;
+        if evicted {
             self.spans.pop_front();
         }
         self.spans.push_back(span);
+        evicted
     }
 
     /// Retained spans, oldest first.
     pub fn spans(&self) -> impl Iterator<Item = &Span> {
         self.spans.iter()
-    }
-
-    /// Number of retained spans.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
     }
 
     /// Dumps the retained spans as JSONL, oldest first.
@@ -261,21 +238,19 @@ impl SpanBuffer {
     }
 }
 
-#[derive(Debug, Default)]
-struct StoreInner {
-    by_trace: BTreeMap<u64, Vec<Span>>,
-    /// Secondary index: consensus sn → trace ids whose spans carry it.
-    /// Invariant-violation dumps look up by sn (that is what a decide
-    /// conflict or equivocation names), not by trace id.
-    by_sn: BTreeMap<u64, BTreeSet<u64>>,
-}
+/// A span ring shared between the recording [`crate::Telemetry`]
+/// handle, its only writer, and the [`TraceStore`] that reads it.
+pub(crate) type SharedRing = Arc<Mutex<SpanBuffer>>;
 
-/// The cluster-shared join point: every node's spans keyed by trace id.
-/// One store per cluster/simulation; cloning the `Arc` it lives behind
-/// is how runtimes hand it to each node's `Telemetry`.
+/// The cluster-shared join point: a read-time view over every
+/// registered span ring. A span is stored once, in its recording
+/// handle's ring, so recording takes no shared lock and retention is the
+/// ring capacity (newest spans win). Rings are held by `Arc`: a crashed
+/// or dropped node's spans stay readable while the store lives. One
+/// store per cluster/simulation, shared by `Arc` with every node.
 #[derive(Debug, Default)]
 pub struct TraceStore {
-    inner: Mutex<StoreInner>,
+    rings: Mutex<Vec<SharedRing>>,
 }
 
 impl TraceStore {
@@ -284,67 +259,50 @@ impl TraceStore {
         Self::default()
     }
 
-    /// Records one span.
-    pub fn record(&self, span: Span) {
-        let mut inner = self.inner.lock().expect("trace store poisoned");
-        if span.sn != 0 {
-            inner
-                .by_sn
-                .entry(span.sn)
-                .or_default()
-                .insert(span.trace_id);
+    /// Adds a recording handle's ring to the view.
+    pub(crate) fn register(&self, ring: SharedRing) {
+        self.rings.lock().expect("trace store poisoned").push(ring);
+    }
+
+    /// What `pick` maps the retained spans to, sorted and deduplicated:
+    /// the one scan behind every read, locking one ring at a time.
+    fn select<T: Ord>(&self, pick: impl Fn(&Span) -> Option<T>) -> Vec<T> {
+        let mut out = Vec::new();
+        for ring in self.rings.lock().expect("trace store poisoned").iter() {
+            let ring = ring.lock().expect("span buffer poisoned");
+            out.extend(ring.spans().filter_map(&pick));
         }
-        inner.by_trace.entry(span.trace_id).or_default().push(span);
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
-    /// Number of distinct traces recorded.
+    /// Number of distinct traces retained.
     pub fn trace_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .by_trace
-            .len()
+        self.trace_ids().len()
     }
 
-    /// Every recorded trace id, ascending.
+    /// Every retained trace id, ascending.
     pub fn trace_ids(&self) -> Vec<u64> {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .by_trace
-            .keys()
-            .copied()
-            .collect()
+        self.select(|span| Some(span.trace_id))
     }
 
-    /// Trace ids that have a span carrying consensus sequence number
-    /// `sn`, ascending. More than one id at one sn is itself evidence:
-    /// honest replicas decide exactly one request per sn.
+    /// Trace ids that have a retained span carrying consensus sequence
+    /// number `sn` (never 0, the sn of a not-yet-ordered span),
+    /// ascending. Invariant-violation dumps look up by sn, since that is
+    /// what a decide conflict or equivocation names. More than one id at
+    /// one sn is itself evidence: honest replicas decide exactly one
+    /// request per sn.
     pub fn traces_for_sn(&self, sn: u64) -> Vec<u64> {
-        self.inner
-            .lock()
-            .expect("trace store poisoned")
-            .by_sn
-            .get(&sn)
-            .map(|ids| ids.iter().copied().collect())
-            .unwrap_or_default()
+        self.select(|span| (sn != 0 && span.sn == sn).then_some(span.trace_id))
     }
 
-    /// Assembles one trace: every node's spans for `trace_id`, sorted
-    /// canonically (stage order, then node, then start time) so the
-    /// result is deterministic regardless of arrival interleaving.
+    /// Assembles one trace: every node's retained spans for `trace_id`
+    /// in canonical order (stage, then node, then start time; see
+    /// [`Span`]) without duplicates, so the result depends neither on
+    /// arrival interleaving nor on the order rings were registered in.
     pub fn assemble(&self, trace_id: u64) -> Vec<Span> {
-        let mut spans = self
-            .inner
-            .lock()
-            .expect("trace store poisoned")
-            .by_trace
-            .get(&trace_id)
-            .cloned()
-            .unwrap_or_default();
-        spans.sort_by_key(|s| (s.stage.order(), s.node, s.start_ms, s.end_ms));
-        spans.dedup();
-        spans
+        self.select(|span| (span.trace_id == trace_id).then(|| span.clone()))
     }
 
     /// Renders one trace as an indented span tree (one line per span,
@@ -389,15 +347,13 @@ impl TraceStore {
         out
     }
 
-    /// Dumps every trace's spans as JSONL, ordered by trace id then
-    /// canonical span order.
+    /// Dumps every retained span as JSONL in canonical order (trace id,
+    /// then each trace's assembly order), from one scan.
     pub fn dump_jsonl(&self) -> String {
         let mut out = String::new();
-        for trace_id in self.trace_ids() {
-            for span in self.assemble(trace_id) {
-                out.push_str(&span.to_json());
-                out.push('\n');
-            }
+        for span in self.select(|span| Some(span.clone())) {
+            out.push_str(&span.to_json());
+            out.push('\n');
         }
         out
     }
@@ -523,13 +479,31 @@ mod tests {
         assert_eq!(kept, vec![3, 4]);
     }
 
+    /// A store holding `spans`, each recorded through its node's handle
+    /// (nodes 0 and 1). The handles are dropped; their rings stay
+    /// readable through the store.
+    fn store_of(spans: impl IntoIterator<Item = Span>) -> Arc<TraceStore> {
+        let (store, registry) = (
+            Arc::new(TraceStore::new()),
+            Arc::new(crate::Registry::new()),
+        );
+        let handle =
+            |node| crate::Telemetry::new_with_store(node, registry.clone(), 8, Some(store.clone()));
+        let handles = [handle(0), handle(1)];
+        for s in spans {
+            handles[s.node as usize].record_span(|| s);
+        }
+        store
+    }
+
     #[test]
     fn store_joins_across_nodes_and_sorts_canonically() {
-        let store = TraceStore::new();
         // Recorded out of order, across nodes.
-        store.record(span(Stage::Commit, 1, 20, 21));
-        store.record(span(Stage::Record, 0, 1, 2));
-        store.record(span(Stage::Commit, 0, 19, 22));
+        let store = store_of([
+            span(Stage::Commit, 1, 20, 21),
+            span(Stage::Record, 0, 1, 2),
+            span(Stage::Commit, 0, 19, 22),
+        ]);
         let spans = store.assemble(7);
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].stage, Stage::Record);
@@ -565,13 +539,10 @@ mod tests {
 
     #[test]
     fn tree_renders_roots_and_children() {
-        let store = TraceStore::new();
-        let mut record = span(Stage::Record, 0, 1, 2);
-        record.parent_span = 0;
+        let root = span(Stage::Record, 0, 1, 2);
         let mut decide = span(Stage::Decide, 0, 5, 6);
-        decide.parent_span = record.span_id;
-        store.record(record);
-        store.record(decide);
+        decide.parent_span = root.span_id;
+        let store = store_of([root, decide]);
         let tree = store.render_tree(7);
         assert!(tree.starts_with("trace 7: 2 spans\n"), "{tree}");
         assert!(tree.contains("record node=0"), "{tree}");
