@@ -5,21 +5,19 @@
 //!
 //! An on-disk archive directory contains:
 //!
-//! * `seg-<seq>.zas` — one file per segment: magic `ZGS1`, a content
-//!   digest, and the canonical [`Segment`] encoding (the
-//!   write-temp-fsync-rename discipline of the on-train `DiskStore`);
-//! * `index.zai` — a small summary (`ZGI1`) of the expected segment
-//!   sequence, used only to *detect* divergence on restart. Segments
-//!   carry quorum certificates; the summary does not — so on any
-//!   disagreement the segments win and the indexes are rebuilt.
+//! * `seg-<seq>.zas` — one file per segment, and nothing else: magic
+//!   `ZGS1`, a content digest, and the canonical [`Segment`] encoding,
+//!   written once per ingest with the write-temp-fsync-rename discipline
+//!   of the on-train `DiskStore`.
 //!
 //! # Recovery
 //!
 //! [`Archive::open`] walks segment files ascending and keeps the longest
 //! prefix that is gap-free, undamaged, chain-continuous, and passes full
 //! [`Segment::verify`]; everything after the first defect is deleted so
-//! the directory is append-consistent again. The in-memory indexes are
-//! always rebuilt from the surviving segments.
+//! the directory is append-consistent again, as are crash leftovers
+//! (`*.tmp`) and the `index.zai` summary older builds wrote. The
+//! in-memory indexes are always rebuilt from the surviving segments.
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -31,7 +29,7 @@ use zugchain_crypto::{Digest, Keystore};
 use zugchain_export::CertifiedSegment;
 use zugchain_signals::analysis::Timeline;
 use zugchain_signals::Request;
-use zugchain_wire::{decode_seq, encode_seq, Decode, Encode, Reader, TrainId, WireError, Writer};
+use zugchain_wire::{Encode as _, TrainId, Writer};
 
 use crate::bundle::AuditBundle;
 use crate::index::{ArchiveIndex, EventKind, RequestLocation};
@@ -40,8 +38,6 @@ use crate::segment::{Segment, SegmentViolation};
 
 /// Magic prefix of a segment (`.zas`) file.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"ZGS1";
-/// Magic prefix of the index summary (`index.zai`) file.
-pub const INDEX_MAGIC: &[u8; 4] = b"ZGI1";
 
 /// Why a certified segment was refused at ingestion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,35 +120,6 @@ pub struct RecoveryReport {
     /// Sequence numbers whose files were damaged, gapped, discontinuous,
     /// or unverifiable and were deleted.
     pub segments_discarded: Vec<u64>,
-    /// Whether the index summary was missing, corrupt, or divergent and
-    /// had to be rebuilt from the segments.
-    pub index_rebuilt: bool,
-}
-
-/// One line of the on-disk index summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct IndexEntry {
-    seq: u64,
-    last_height: u64,
-    head_hash: Digest,
-}
-
-impl Encode for IndexEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.write_u64(self.seq);
-        w.write_u64(self.last_height);
-        self.head_hash.encode(w);
-    }
-}
-
-impl Decode for IndexEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(IndexEntry {
-            seq: r.read_u64()?,
-            last_height: r.read_u64()?,
-            head_hash: Digest::decode(r)?,
-        })
-    }
 }
 
 /// Durable segment files under one directory.
@@ -172,68 +139,59 @@ impl SegmentStore {
         self.dir.join(format!("seg-{seq:010}.zas"))
     }
 
-    fn index_path(&self) -> PathBuf {
-        self.dir.join("index.zai")
-    }
-
-    fn write_record(path: &Path, magic: &[u8; 4], body: &[u8]) -> io::Result<()> {
+    /// Makes `magic ‖ digest(body) ‖ body` durable for `segment` with
+    /// one write into a temp file, fsynced, then renamed into place.
+    fn write_segment(&self, segment: &Segment) -> io::Result<()> {
+        let mut w = Writer::new();
+        w.write_raw(SEGMENT_MAGIC);
+        w.write_raw(&[0; 32]);
+        segment.encode(&mut w);
+        let mut record = w.into_bytes();
+        let digest = Digest::of(&record[36..]);
+        record[4..36].copy_from_slice(digest.as_bytes());
+        let path = self.segment_path(segment.header.seq);
         let tmp = path.with_extension("tmp");
         {
             let mut file = fs::File::create(&tmp)?;
-            file.write_all(magic)?;
-            file.write_all(Digest::of(body).as_bytes())?;
-            file.write_all(body)?;
+            file.write_all(&record)?;
             file.sync_all()?;
         }
         fs::rename(&tmp, path)
     }
 
-    fn read_record(path: &Path, magic: &[u8; 4]) -> io::Result<Vec<u8>> {
-        let raw = fs::read(path)?;
-        let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-        if raw.len() < 36 || &raw[..4] != magic {
-            return Err(invalid("bad magic"));
-        }
-        let stored = Digest::from_bytes(raw[4..36].try_into().expect("length checked"));
-        let body = &raw[36..];
-        if Digest::of(body) != stored {
-            return Err(invalid("digest mismatch (torn or corrupted write)"));
-        }
-        Ok(body.to_vec())
-    }
-
-    fn write_segment(&self, segment: &Segment) -> io::Result<()> {
-        Self::write_record(
-            &self.segment_path(segment.header.seq),
-            SEGMENT_MAGIC,
-            &zugchain_wire::to_bytes(segment),
-        )
-    }
-
     fn read_segment(&self, seq: u64) -> io::Result<Segment> {
-        let body = Self::read_record(&self.segment_path(seq), SEGMENT_MAGIC)?;
-        zugchain_wire::from_bytes(&body).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("undecodable segment: {e}"),
-            )
-        })
+        let raw = fs::read(self.segment_path(seq))?;
+        let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+        if raw.len() < 36 || &raw[..4] != SEGMENT_MAGIC {
+            return Err(invalid("bad magic".into()));
+        }
+        let body = &raw[36..];
+        if Digest::of(body).as_bytes()[..] != raw[4..36] {
+            return Err(invalid("digest mismatch (torn or corrupted write)".into()));
+        }
+        zugchain_wire::from_bytes(body).map_err(|e| invalid(format!("undecodable segment: {e}")))
     }
 
-    fn remove_segment(&self, seq: u64) -> io::Result<()> {
-        match fs::remove_file(self.segment_path(seq)) {
+    fn remove(path: &Path) -> io::Result<()> {
+        match fs::remove_file(path) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e),
         }
     }
 
+    /// The segment sequence numbers on disk, ascending. Removes what is
+    /// not a segment file: crash leftovers (`*.tmp`) and the `index.zai`
+    /// summary older builds wrote, which nothing reads.
     fn seqs(&self) -> io::Result<Vec<u64>> {
         let mut seqs = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
+            let entry = entry?;
+            let name = entry.file_name();
             let name = name.to_string_lossy();
-            if let Some(number) = name
+            if name.ends_with(".tmp") || name == "index.zai" {
+                Self::remove(&entry.path())?;
+            } else if let Some(number) = name
                 .strip_prefix("seg-")
                 .and_then(|s| s.strip_suffix(".zas"))
             {
@@ -245,25 +203,10 @@ impl SegmentStore {
         seqs.sort_unstable();
         Ok(seqs)
     }
-
-    fn write_summary(&self, entries: &[IndexEntry]) -> io::Result<()> {
-        let mut w = Writer::new();
-        encode_seq(entries, &mut w);
-        Self::write_record(&self.index_path(), INDEX_MAGIC, w.as_bytes())
-    }
-
-    /// Reads the summary; `Ok(None)` means missing or unusable (any
-    /// corruption is treated as "needs rebuild", never as fatal).
-    fn read_summary(&self) -> Option<Vec<IndexEntry>> {
-        let body = Self::read_record(&self.index_path(), INDEX_MAGIC).ok()?;
-        let mut r = Reader::new(&body);
-        let entries = decode_seq(&mut r).ok()?;
-        r.is_empty().then_some(entries)
-    }
 }
 
-/// A segment that passed [`Segment::verify`], with the Merkle tree that
-/// verification rebuilt from its blocks.
+/// A verified segment with the Merkle tree built from its blocks: by
+/// [`Segment::seal`] on ingest, by [`Segment::verify`] on recovery.
 ///
 /// The read path takes every commitment it serves from here and hashes
 /// nothing: a block's hash is the next block's `prev_hash` (or the
@@ -458,25 +401,10 @@ impl Archive {
                 }
                 damaged = true;
             }
-            storage.remove_segment(seq)?;
+            SegmentStore::remove(&storage.segment_path(seq))?;
             report.segments_discarded.push(seq);
         }
         report.segments_recovered = segments.len();
-
-        // The summary only detects divergence; segments always win.
-        let expected: Vec<IndexEntry> = segments
-            .iter()
-            .map(|s| &s.segment)
-            .map(|s| IndexEntry {
-                seq: s.header.seq,
-                last_height: s.header.last_height,
-                head_hash: s.header.head_hash,
-            })
-            .collect();
-        if storage.read_summary().as_deref() != Some(&expected[..]) {
-            storage.write_summary(&expected)?;
-            report.index_rebuilt = true;
-        }
 
         let mut index = ArchiveIndex::new();
         for sealed in &segments {
@@ -541,16 +469,16 @@ impl Archive {
     ///
     /// The segment must extend the current head exactly (the archive is
     /// append-only); it is fully re-verified — chain linkage, pruned-base
-    /// continuity, and the 2f+1 checkpoint certificate — before anything
-    /// is persisted or indexed. Persistence is segment file first, then
-    /// index summary, then in-memory state, so a crash at any point leaves
-    /// a directory [`Archive::open`] recovers cleanly.
+    /// continuity, and the 2f+1 checkpoint certificate — in one pass that
+    /// also derives its header and Merkle tree (`Segment::seal`),
+    /// before anything is persisted or indexed. A durable archive then
+    /// makes one file durable, the segment's own, before the in-memory
+    /// state changes, so a crash at any point leaves a directory
+    /// [`Archive::open`] recovers cleanly.
     ///
     /// # Errors
     ///
-    /// See [`IngestError`]; on error the archive is unchanged (except
-    /// possibly an orphaned next-seq segment file on a summary-write
-    /// failure, which recovery reconciles).
+    /// See [`IngestError`]; on error the archive is unchanged.
     pub fn ingest(&mut self, certified: &CertifiedSegment) -> Result<u64, IngestError> {
         let started = std::time::Instant::now();
         let result = self.ingest_inner(certified);
@@ -651,27 +579,12 @@ impl Archive {
             }
         }
         let seq = self.segments.len() as u64;
-        let segment = Segment::build(seq, certified)?;
-        let sealed = Sealed::verify(segment, &self.keystore, self.quorum)?;
+        let (segment, tree) = Segment::seal(seq, certified, &self.keystore, self.quorum)?;
+        let sealed = Sealed { segment, tree };
 
         if let Some(storage) = &self.storage {
             storage
                 .write_segment(&sealed.segment)
-                .map_err(|e| IngestError::Io(e.to_string()))?;
-            let mut entries: Vec<IndexEntry> = self
-                .segments
-                .iter()
-                .chain(std::iter::once(&sealed))
-                .map(|s| &s.segment)
-                .map(|s| IndexEntry {
-                    seq: s.header.seq,
-                    last_height: s.header.last_height,
-                    head_hash: s.header.head_hash,
-                })
-                .collect();
-            entries.sort_unstable_by_key(|e| e.seq);
-            storage
-                .write_summary(&entries)
                 .map_err(|e| IngestError::Io(e.to_string()))?;
         }
 

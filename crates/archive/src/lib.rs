@@ -34,9 +34,7 @@ pub mod keyfile;
 mod merkle;
 mod segment;
 
-pub use archive::{
-    Archive, BlockInfo, IngestError, QueryEngine, RecoveryReport, INDEX_MAGIC, SEGMENT_MAGIC,
-};
+pub use archive::{Archive, BlockInfo, IngestError, QueryEngine, RecoveryReport, SEGMENT_MAGIC};
 pub use bundle::{AuditBundle, AuditError, BUNDLE_MAGIC};
 pub use fleet::{FleetArchive, IngestLock};
 pub use index::{ArchiveIndex, EventKind, RequestLocation};

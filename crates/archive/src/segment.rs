@@ -18,7 +18,7 @@ use zugchain_export::CertifiedSegment;
 use zugchain_pbft::CheckpointProof;
 use zugchain_wire::{decode_seq, encode_seq, Decode, Encode, Reader, TrainId, WireError, Writer};
 
-use crate::merkle::{leaf_digest, merkle_root, MerkleTree};
+use crate::merkle::{leaf_digest, MerkleTree};
 
 /// Derived commitments over one segment's blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,6 +181,72 @@ pub fn block_leaves(train: TrainId, blocks: &[Block]) -> Vec<Digest> {
         .collect()
 }
 
+impl SegmentHeader {
+    /// Derives the header of a nonempty block run from its identity and
+    /// base, given the head hash and Merkle tree already computed from
+    /// `blocks`.
+    fn derive(
+        train: TrainId,
+        seq: u64,
+        base_height: u64,
+        base_hash: Digest,
+        blocks: &[Block],
+        head_hash: Digest,
+        tree: &MerkleTree,
+    ) -> Self {
+        let times = blocks.iter().map(|b| b.header.time_ms);
+        SegmentHeader {
+            train,
+            seq,
+            base_height,
+            base_hash,
+            first_height: blocks.first().expect("nonempty").height(),
+            last_height: blocks.last().expect("nonempty").height(),
+            head_hash,
+            merkle_root: tree.root(),
+            min_time_ms: times.clone().min().expect("nonempty"),
+            max_time_ms: times.max().expect("nonempty"),
+        }
+    }
+}
+
+/// Checks that `proof` is a quorum certificate over `head_hash`.
+fn check_certificate(
+    proof: &CheckpointProof,
+    head_hash: Digest,
+    keystore: &Keystore,
+    quorum: usize,
+) -> Result<(), SegmentViolation> {
+    if proof.checkpoint.state_digest != head_hash {
+        return Err(SegmentViolation::CertifiesWrongHead {
+            head_hash,
+            certified: proof.checkpoint.state_digest,
+        });
+    }
+    if !proof.verify(keystore, quorum) {
+        return Err(SegmentViolation::BadCertificate);
+    }
+    Ok(())
+}
+
+/// Checks that `blocks` is a nonempty chain extending `(base_height,
+/// base_hash)`, returning its last block's hash.
+fn check_chain(
+    blocks: &[Block],
+    base_height: u64,
+    base_hash: Digest,
+) -> Result<Digest, SegmentViolation> {
+    let first = blocks.first().ok_or(SegmentViolation::Empty)?;
+    if first.height() != base_height + 1 {
+        return Err(SegmentViolation::BaseHeightGap {
+            base_height,
+            first_height: first.height(),
+        });
+    }
+    verify_chain(blocks, Some(base_hash))?;
+    Ok(blocks.last().expect("nonempty").hash())
+}
+
 impl Segment {
     /// Builds a segment at archive position `seq` from a certified run of
     /// blocks, computing all derived header fields.
@@ -190,34 +256,50 @@ impl Segment {
     /// Returns [`SegmentViolation::Empty`] if the run has no blocks; all
     /// other invariants are checked by [`Segment::verify`].
     pub fn build(seq: u64, certified: &CertifiedSegment) -> Result<Self, SegmentViolation> {
+        let last = certified.blocks.last().ok_or(SegmentViolation::Empty)?;
+        let tree = MerkleTree::new(block_leaves(certified.train, &certified.blocks));
+        Ok(Self::assemble(seq, certified, last.hash(), &tree))
+    }
+
+    /// Verifies a certified run of blocks and builds its segment in one
+    /// pass: the chain against the declared base, then the certificate
+    /// against the head, and only then the Merkle tree, once. The header
+    /// is derived from blocks that passed those checks, so there is
+    /// nothing left for [`Segment::verify`] to compare; the result equals
+    /// [`Segment::build`] and fails with the error `build` followed by
+    /// `verify` would give.
+    pub(crate) fn seal(
+        seq: u64,
+        certified: &CertifiedSegment,
+        keystore: &Keystore,
+        quorum: usize,
+    ) -> Result<(Self, MerkleTree), SegmentViolation> {
         let blocks = &certified.blocks;
-        let first = blocks.first().ok_or(SegmentViolation::Empty)?;
-        let last = blocks.last().expect("nonempty");
-        let header = SegmentHeader {
-            train: certified.train,
-            seq,
-            base_height: certified.base_height,
-            base_hash: certified.base_hash,
-            first_height: first.height(),
-            last_height: last.height(),
-            head_hash: last.hash(),
-            merkle_root: merkle_root(&block_leaves(certified.train, blocks)),
-            min_time_ms: blocks
-                .iter()
-                .map(|b| b.header.time_ms)
-                .min()
-                .expect("nonempty"),
-            max_time_ms: blocks
-                .iter()
-                .map(|b| b.header.time_ms)
-                .max()
-                .expect("nonempty"),
-        };
-        Ok(Segment {
-            header,
-            blocks: blocks.clone(),
+        let head_hash = check_chain(blocks, certified.base_height, certified.base_hash)?;
+        check_certificate(&certified.proof, head_hash, keystore, quorum)?;
+        let tree = MerkleTree::new(block_leaves(certified.train, blocks));
+        Ok((Self::assemble(seq, certified, head_hash, &tree), tree))
+    }
+
+    fn assemble(
+        seq: u64,
+        certified: &CertifiedSegment,
+        head_hash: Digest,
+        tree: &MerkleTree,
+    ) -> Self {
+        Segment {
+            header: SegmentHeader::derive(
+                certified.train,
+                seq,
+                certified.base_height,
+                certified.base_hash,
+                &certified.blocks,
+                head_hash,
+                tree,
+            ),
+            blocks: certified.blocks.clone(),
             proof: certified.proof.clone(),
-        })
+        }
     }
 
     /// Fully re-verifies the segment: chain consistency against the
@@ -241,58 +323,30 @@ impl Segment {
         keystore: &Keystore,
         quorum: usize,
     ) -> Result<MerkleTree, SegmentViolation> {
-        let first = self.blocks.first().ok_or(SegmentViolation::Empty)?;
-        let last = self.blocks.last().expect("nonempty");
-        if first.height() != self.header.base_height + 1 {
-            return Err(SegmentViolation::BaseHeightGap {
-                base_height: self.header.base_height,
-                first_height: first.height(),
-            });
+        let h = &self.header;
+        let head_hash = check_chain(&self.blocks, h.base_height, h.base_hash)?;
+        let tree = MerkleTree::new(block_leaves(h.train, &self.blocks));
+        let derived = SegmentHeader::derive(
+            h.train,
+            h.seq,
+            h.base_height,
+            h.base_hash,
+            &self.blocks,
+            head_hash,
+            &tree,
+        );
+        let fields = [
+            ("first_height", h.first_height == derived.first_height),
+            ("last_height", h.last_height == derived.last_height),
+            ("head_hash", h.head_hash == derived.head_hash),
+            ("merkle_root", h.merkle_root == derived.merkle_root),
+            ("min_time_ms", h.min_time_ms == derived.min_time_ms),
+            ("max_time_ms", h.max_time_ms == derived.max_time_ms),
+        ];
+        if let Some(&(field, _)) = fields.iter().find(|(_, matches)| !matches) {
+            return Err(SegmentViolation::HeaderMismatch { field });
         }
-        verify_chain(&self.blocks, Some(self.header.base_hash))?;
-
-        let mismatch = |field| Err(SegmentViolation::HeaderMismatch { field });
-        if self.header.first_height != first.height() {
-            return mismatch("first_height");
-        }
-        if self.header.last_height != last.height() {
-            return mismatch("last_height");
-        }
-        if self.header.head_hash != last.hash() {
-            return mismatch("head_hash");
-        }
-        let tree = MerkleTree::new(block_leaves(self.header.train, &self.blocks));
-        if self.header.merkle_root != tree.root() {
-            return mismatch("merkle_root");
-        }
-        let min = self
-            .blocks
-            .iter()
-            .map(|b| b.header.time_ms)
-            .min()
-            .expect("nonempty");
-        let max = self
-            .blocks
-            .iter()
-            .map(|b| b.header.time_ms)
-            .max()
-            .expect("nonempty");
-        if self.header.min_time_ms != min {
-            return mismatch("min_time_ms");
-        }
-        if self.header.max_time_ms != max {
-            return mismatch("max_time_ms");
-        }
-
-        if self.proof.checkpoint.state_digest != self.header.head_hash {
-            return Err(SegmentViolation::CertifiesWrongHead {
-                head_hash: self.header.head_hash,
-                certified: self.proof.checkpoint.state_digest,
-            });
-        }
-        if !self.proof.verify(keystore, quorum) {
-            return Err(SegmentViolation::BadCertificate);
-        }
+        check_certificate(&self.proof, h.head_hash, keystore, quorum)?;
         Ok(tree)
     }
 }

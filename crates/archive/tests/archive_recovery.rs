@@ -9,6 +9,7 @@ use std::path::PathBuf;
 
 use common::{certified_chain, keys, QUORUM};
 use zugchain_archive::{Archive, IngestError, SegmentViolation};
+use zugchain_crypto::Digest;
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("zugchain-archive-{tag}-{}", std::process::id()));
@@ -44,7 +45,6 @@ fn clean_reopen_is_lossless() {
     let (archive, report) = Archive::open(&dir, keystore, QUORUM).unwrap();
     assert_eq!(report.segments_recovered, 4);
     assert!(report.segments_discarded.is_empty());
-    assert!(!report.index_rebuilt, "summary on disk already matched");
     assert_eq!(archive.segment_count(), 4);
     assert_eq!(archive.request_count(), requests);
 }
@@ -60,10 +60,6 @@ fn torn_final_segment_is_truncated() {
     let (archive, report) = Archive::open(&dir, keystore.clone(), QUORUM).unwrap();
     assert_eq!(report.segments_recovered, 2);
     assert_eq!(report.segments_discarded, vec![2]);
-    assert!(
-        report.index_rebuilt,
-        "summary still listed the torn segment"
-    );
     assert_eq!(archive.segment_count(), 2);
     // The torn file is gone; a second restart is clean and idempotent.
     assert!(!path.exists());
@@ -102,28 +98,56 @@ fn bitflip_inside_a_segment_is_caught_by_the_checksum() {
     assert_eq!(archive.segment_count(), 1);
 }
 
+/// The file names in `dir`, sorted.
+fn file_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
 #[test]
-fn divergent_index_summary_is_rebuilt_from_segments() {
-    let (dir, keystore, requests) = populated("diverge", 3);
-    // Corrupt the summary: flip a byte inside its body. Segments carry
-    // quorum certificates, the summary does not — segments must win.
-    let path = dir.join("index.zai");
-    let mut raw = fs::read(&path).unwrap();
-    let last = raw.len() - 1;
-    raw[last] ^= 0xFF;
-    fs::write(&path, raw).unwrap();
+fn durable_ingest_leaves_one_file_per_segment() {
+    for k in [1, 4] {
+        let (dir, _, _) = populated(&format!("files-{k}"), k);
+        let expected: Vec<String> = (0..k as u64)
+            .map(|seq| format!("seg-{seq:010}.zas"))
+            .collect();
+        assert_eq!(file_names(&dir), expected, "{k} segments");
+    }
+}
 
-    let (archive, report) = Archive::open(&dir, keystore.clone(), QUORUM).unwrap();
-    assert_eq!(report.segments_recovered, 3);
-    assert!(report.segments_discarded.is_empty());
-    assert!(report.index_rebuilt);
-    assert_eq!(archive.request_count(), requests);
+#[test]
+fn legacy_summary_and_stray_temp_files_are_removed_on_open() {
+    let (dir, keystore, requests) = populated("legacy", 3);
+    let (clean, clean_report) = Archive::open(&dir, keystore.clone(), QUORUM).unwrap();
+    let clean_head = clean.head();
+    drop(clean);
 
-    // Deleting the summary outright is equally recoverable.
-    fs::remove_file(&path).unwrap();
-    let (_, report) = Archive::open(&dir, keystore, QUORUM).unwrap();
-    assert!(report.index_rebuilt);
-    assert!(path.exists(), "summary rewritten on recovery");
+    // An older build's summary, either well framed but stale or corrupt,
+    // and the temp file of a segment write that crashed before its
+    // rename. Neither may change what recovers.
+    let summary = dir.join("index.zai");
+    let stray = dir.join("seg-0000000003.tmp");
+    let body = [0u8; 40];
+    let stale = [b"ZGI1".as_slice(), Digest::of(&body).as_bytes(), &body].concat();
+    let corrupt = vec![0xFF; 7];
+    for legacy in [stale, corrupt] {
+        fs::write(&summary, legacy).unwrap();
+        fs::write(&stray, &fs::read(seg_path(&dir, 2)).unwrap()[..50]).unwrap();
+
+        let (archive, report) = Archive::open(&dir, keystore.clone(), QUORUM).unwrap();
+        assert_eq!(report, clean_report);
+        assert_eq!(report.segments_recovered, 3);
+        assert!(report.segments_discarded.is_empty());
+        assert_eq!(archive.head(), clean_head);
+        assert_eq!(archive.request_count(), requests);
+        assert!(!summary.exists(), "legacy summary removed");
+        assert!(!stray.exists(), "stray temp file removed");
+    }
+    assert_eq!(file_names(&dir).len(), 3);
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Benchmarks the juridical archive's read and write paths: certified
-//! segment ingestion (re-verification + indexing), point lookups,
+//! segment ingestion (re-verification + indexing, in memory and into a
+//! durable directory with fsync), point lookups,
 //! indexed time-range scans, and audit-bundle build/verify — the
 //! baselines recorded in `BENCH_archive.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use zugchain_archive::{Archive, FleetArchive, IngestLock};
 use zugchain_blockchain::{Block, BlockBuilder, LoggedRequest};
 use zugchain_crypto::{KeyPair, Keystore};
@@ -132,6 +133,41 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `archive/ingest/10` case against a durable archive: each
+/// iteration opens a fresh directory (untimed) and ingests the four
+/// segments, so the per-segment file write and fsync are included.
+fn bench_ingest_durable(c: &mut Criterion) {
+    let (pairs, keystore) = Keystore::generate(4, 7);
+    let dir = std::env::temp_dir().join(format!("zugchain-bench-ingest-{}", std::process::id()));
+    let mut group = c.benchmark_group("archive/ingest_durable");
+    group.sample_size(10);
+    let segments = certified_chain(&pairs, 4, 10);
+    let requests = segments
+        .iter()
+        .map(|s| s.blocks.len() * BLOCK_SIZE)
+        .sum::<usize>() as u64;
+    group.throughput(Throughput::Elements(requests));
+    group.bench_with_input(BenchmarkId::from_parameter(10), &segments, |b, segments| {
+        b.iter_batched(
+            || {
+                let _ = std::fs::remove_dir_all(&dir);
+                Archive::open(&dir, keystore.clone(), QUORUM)
+                    .expect("fresh archive directory")
+                    .0
+            },
+            |mut archive| {
+                for segment in segments {
+                    archive.ingest(segment).expect("ingests");
+                }
+                archive.request_count()
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_point_lookup(c: &mut Criterion) {
     let (pairs, keystore) = Keystore::generate(4, 7);
     let archive = populated_archive(&pairs, &keystore, 10);
@@ -241,6 +277,7 @@ fn bench_fleet_ingest(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_ingest,
+    bench_ingest_durable,
     bench_point_lookup,
     bench_time_range_scan,
     bench_audit_bundle,

@@ -12,7 +12,7 @@
 //! and writes the same cached buffer to every peer socket, instead of
 //! re-encoding per recipient.
 
-use std::io::{self, Read as _, Write as _};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -55,29 +55,33 @@ fn frame_trace_ctx(message: &NodeMessage) -> TraceCtx {
     }
 }
 
-/// Writes one length-prefixed frame. The frame's inner encoding is
-/// computed at most once and shared across every peer this frame is
-/// written to; traced frames additionally carry the 17-byte envelope
-/// (`magic ‖ TraceCtx`) in front of the unchanged inner bytes.
-fn write_frame(stream: &mut TcpStream, frame: &Frame<NodeMessage>) -> io::Result<()> {
+/// Writes one length-prefixed frame with a single `write_all`, so each
+/// frame leaves as one syscall (and, with `TCP_NODELAY`, one segment).
+/// The frame's inner encoding is computed at most once and shared across
+/// every peer this frame is written to; traced frames additionally carry
+/// the 17-byte envelope (`magic ‖ TraceCtx`) in front of the unchanged
+/// inner bytes.
+fn write_frame(out: &mut impl Write, frame: &Frame<NodeMessage>) -> io::Result<()> {
     let bytes = frame.bytes();
     let ctx = frame_trace_ctx(frame.message());
-    let payload: std::borrow::Cow<'_, [u8]> = if ctx.is_traced() {
-        std::borrow::Cow::Owned(zugchain_wire::encode_traced(ctx, &bytes))
+    let envelope = if ctx.is_traced() {
+        zugchain_wire::encode_traced(ctx, &[])
     } else {
-        std::borrow::Cow::Borrowed(&bytes)
+        Vec::new()
     };
-    let len = u32::try_from(payload.len())
+    let len = u32::try_from(envelope.len() + bytes.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(&payload)?;
-    Ok(())
+    let mut buf = Vec::with_capacity(4 + len as usize);
+    buf.extend_from_slice(&len.to_be_bytes());
+    buf.extend_from_slice(&envelope);
+    buf.extend_from_slice(&bytes);
+    out.write_all(&buf)
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF. Frames in
 /// the traced envelope yield their carried [`TraceCtx`]; legacy bare
 /// frames decode unchanged with [`TraceCtx::NONE`].
-fn read_frame(stream: &mut TcpStream) -> io::Result<Option<(TraceCtx, NodeMessage)>> {
+fn read_frame(stream: &mut impl Read) -> io::Result<Option<(TraceCtx, NodeMessage)>> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -114,7 +118,7 @@ impl PeerLink for TcpLink {
         if let Some(Some(stream)) = self.streams.get(to) {
             let mut stream = stream.lock().expect("stream lock");
             // A failed peer write is a dead link, not a node error.
-            let _ = write_frame(&mut stream, frame);
+            let _ = write_frame(&mut *stream, frame);
         }
     }
 }
@@ -457,6 +461,59 @@ mod tests {
         assert_eq!(ctx, frame_trace_ctx(&sent));
         // EOF is a clean None.
         assert!(read_frame(&mut conn).unwrap().is_none());
+    }
+
+    /// A writer that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_and_round_trips() {
+        let (pairs, _) = Keystore::generate(1, 4);
+        let traced = NodeMessage::Layer(zugchain::LayerMessage::BroadcastRequest(
+            zugchain::SignedRequest::sign(
+                zugchain_pbft::ProposedRequest::application(vec![3; 48], NodeId(0)),
+                &pairs[0],
+            ),
+        ));
+        let bare = NodeMessage::Consensus(zugchain_pbft::SignedMessage::sign(
+            NodeId(0),
+            zugchain_pbft::Message::Checkpoint(zugchain_pbft::Checkpoint {
+                sn: 7,
+                state_digest: zugchain_crypto::Digest::of(b"state"),
+            }),
+            &pairs[0],
+        ));
+        let mut out = CountingWriter::default();
+        for (n, message) in [&traced, &bare].into_iter().enumerate() {
+            write_frame(&mut out, &Frame::new(message.clone())).unwrap();
+            assert_eq!(out.writes, n + 1, "one write per frame");
+        }
+
+        let mut input = io::Cursor::new(out.bytes);
+        let (ctx, received) = read_frame(&mut input).unwrap().expect("traced frame");
+        assert_eq!(received, traced);
+        assert!(ctx.is_traced());
+        assert_eq!(ctx, frame_trace_ctx(&traced));
+        let (ctx, received) = read_frame(&mut input).unwrap().expect("bare frame");
+        assert_eq!(received, bare);
+        assert_eq!(ctx, TraceCtx::NONE);
+        assert!(read_frame(&mut input).unwrap().is_none());
     }
 
     /// Legacy bare frames (no traced envelope) must keep decoding: a
