@@ -31,9 +31,12 @@ pub mod auth;
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod ratelimit;
 mod server;
+
+/// The JSON writer behind every response: the workspace's one writer,
+/// shared with the trace dumps.
+pub use zugchain_telemetry::json;
 
 pub use client::{ClientResponse, HttpClient};
 pub use server::{ApiConfig, ApiServer, ApiService, Backend};

@@ -23,6 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use zugchain_archive::{Archive, BlockInfo, FleetArchive, QueryEngine};
+use zugchain_telemetry::json::{self, JsonObject};
 use zugchain_telemetry::{
     check_chain, Counter, Gauge, Histogram, Registry, Span, TraceStore, STAGES,
 };
@@ -31,7 +32,6 @@ use zugchain_wire::TrainId;
 use crate::auth::{Auth, AuthDecision};
 use crate::cache::ResponseCache;
 use crate::http::{self, Parsed, Request, Response};
-use crate::json::{self, JsonObject};
 use crate::ratelimit::RateLimiter;
 
 /// Serving policy: credentials, rate limits, cache size, page bounds.

@@ -9,9 +9,7 @@
 //! independent — different replica keysets, different heights, different
 //! heads — so the fleet archive stores them in independent *shards*: one
 //! [`Archive`] per registered train, each holding its own lock. Ingest
-//! from train A never contends with ingest from train B (the
-//! [`IngestLock::Global`] mode exists only as a benchmark baseline to
-//! quantify exactly that). On disk each shard lives under
+//! from train A never contends with ingest from train B. On disk each shard lives under
 //! `root/trains/<id>/` with its own segment files and index summary, so
 //! crash recovery runs per train and one corrupted shard cannot take
 //! down another's data.
@@ -28,7 +26,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use zugchain_crypto::{Digest, Keystore};
 use zugchain_export::CertifiedSegment;
@@ -39,19 +37,6 @@ use zugchain_wire::TrainId;
 use crate::archive::{Archive, IngestError, RecoveryReport};
 use crate::bundle::AuditBundle;
 
-/// How fleet ingest serializes concurrent callers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IngestLock {
-    /// One write lock per shard: trains ingest concurrently. The default
-    /// and the whole point of sharding.
-    #[default]
-    PerShard,
-    /// One global mutex over every ingest, regardless of train — the
-    /// single-lock baseline the `fleet_ingest` benchmark compares
-    /// against. Queries still go per-shard.
-    Global,
-}
-
 /// One train's shard: its archive behind its own lock.
 struct Shard {
     archive: RwLock<Archive>,
@@ -60,9 +45,6 @@ struct Shard {
 struct FleetInner {
     root: Option<PathBuf>,
     quorum: usize,
-    lock_mode: IngestLock,
-    /// Taken for the whole ingest in [`IngestLock::Global`] mode.
-    global: Mutex<()>,
     /// Registered shards. The map lock is held only to *look up* a
     /// shard (reads) or register a train (writes) — never across an
     /// ingest or query.
@@ -84,7 +66,6 @@ impl std::fmt::Debug for FleetArchive {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetArchive")
             .field("root", &self.inner.root)
-            .field("lock_mode", &self.inner.lock_mode)
             .field("trains", &self.trains().len())
             .finish()
     }
@@ -121,33 +102,11 @@ impl FleetArchive {
             inner: Arc::new(FleetInner {
                 root,
                 quorum,
-                lock_mode: IngestLock::default(),
-                global: Mutex::new(()),
                 shards: RwLock::new(BTreeMap::new()),
                 cross: RwLock::new(BTreeMap::new()),
                 telemetry: RwLock::new(zugchain_telemetry::Telemetry::disabled()),
             }),
         }
-    }
-
-    /// Selects the ingest locking mode (benchmark baseline switch).
-    /// Call before registering trains; consumes and returns `self` so a
-    /// fleet cannot change mode while handles are shared.
-    #[must_use]
-    pub fn with_lock_mode(self, mode: IngestLock) -> Self {
-        let inner = Arc::try_unwrap(self.inner)
-            .unwrap_or_else(|_| panic!("with_lock_mode requires an unshared FleetArchive"));
-        FleetArchive {
-            inner: Arc::new(FleetInner {
-                lock_mode: mode,
-                ..inner
-            }),
-        }
-    }
-
-    /// The active ingest locking mode.
-    pub fn lock_mode(&self) -> IngestLock {
-        self.inner.lock_mode
     }
 
     /// Attaches a telemetry handle. Shards registered from now on
@@ -222,8 +181,7 @@ impl FleetArchive {
     /// Verifies and ingests one certified segment into its origin
     /// train's shard, returning the shard-local sequence number.
     ///
-    /// Under [`IngestLock::PerShard`] only that train's shard lock is
-    /// held; segments of different trains verify and persist fully in
+    /// Only that train's shard lock is held; segments of different trains verify and persist fully in
     /// parallel. The cross index is updated in a short critical section
     /// after the shard commits.
     ///
@@ -237,10 +195,6 @@ impl FleetArchive {
             .ok_or(IngestError::UnknownTrain {
                 train: certified.train,
             })?;
-        let _serialized = match self.inner.lock_mode {
-            IngestLock::PerShard => None,
-            IngestLock::Global => Some(self.inner.global.lock().unwrap_or_else(|e| e.into_inner())),
-        };
         let seq = write(&shard.archive).ingest(certified)?;
 
         let mut entries = Vec::new();

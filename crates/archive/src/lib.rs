@@ -36,7 +36,7 @@ mod segment;
 
 pub use archive::{Archive, BlockInfo, IngestError, QueryEngine, RecoveryReport, SEGMENT_MAGIC};
 pub use bundle::{AuditBundle, AuditError, BUNDLE_MAGIC};
-pub use fleet::{FleetArchive, IngestLock};
+pub use fleet::FleetArchive;
 pub use index::{ArchiveIndex, EventKind, RequestLocation};
 pub use merkle::{leaf_digest, merkle_root, MerklePath, MerkleStep};
 pub use segment::{block_leaves, Segment, SegmentHeader, SegmentViolation};

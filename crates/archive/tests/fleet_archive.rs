@@ -5,7 +5,7 @@
 
 mod common;
 
-use zugchain_archive::{FleetArchive, IngestError, IngestLock};
+use zugchain_archive::{FleetArchive, IngestError};
 use zugchain_crypto::Keystore;
 use zugchain_wire::TrainId;
 
@@ -148,30 +148,33 @@ fn durable_shards_recover_independently() {
 }
 
 #[test]
-fn global_lock_mode_matches_per_shard_results() {
+fn concurrent_per_shard_ingest_yields_the_expected_counts() {
     let (pairs, keystore) = keys();
-    let per_shard = FleetArchive::in_memory(QUORUM);
-    let global = FleetArchive::in_memory(QUORUM).with_lock_mode(IngestLock::Global);
-    assert_eq!(global.lock_mode(), IngestLock::Global);
-    for fleet in [&per_shard, &global] {
-        for train in [TrainId(1), TrainId(2)] {
-            fleet.register_train(train, keystore.clone()).unwrap();
-        }
-        std::thread::scope(|scope| {
-            for train in [TrainId(1), TrainId(2)] {
-                let fleet = fleet.clone();
-                let pairs = &pairs;
-                scope.spawn(move || {
-                    for certified in certified_chain_for_train(train, pairs, 3, 2) {
-                        fleet.ingest(&certified).unwrap();
-                    }
-                });
-            }
-        });
+    let fleet = FleetArchive::in_memory(QUORUM);
+    let trains = [TrainId(1), TrainId(2)];
+    for train in trains {
+        fleet.register_train(train, keystore.clone()).unwrap();
     }
-    assert_eq!(per_shard.segment_count(), global.segment_count());
-    assert_eq!(per_shard.request_count(), global.request_count());
-    assert_eq!(per_shard.head_of(TrainId(1)), global.head_of(TrainId(1)));
+    std::thread::scope(|scope| {
+        for train in trains {
+            let fleet = fleet.clone();
+            let pairs = &pairs;
+            scope.spawn(move || {
+                for certified in certified_chain_for_train(train, pairs, 3, 2) {
+                    fleet.ingest(&certified).unwrap();
+                }
+            });
+        }
+    });
+    // Per train: 3 segments of 2 blocks of 2 requests each.
+    assert_eq!(fleet.segment_count(), 2 * 3);
+    assert_eq!(fleet.request_count(), 2 * 12);
+    for train in trains {
+        assert_eq!(fleet.segment_count_of(train), 3);
+    }
+    // Identical chains per train → identical shard heads.
+    assert_eq!(fleet.head_of(TrainId(1)), fleet.head_of(TrainId(2)));
+    assert!(fleet.head_of(TrainId(1)).is_some());
 }
 
 #[test]

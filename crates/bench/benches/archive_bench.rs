@@ -5,7 +5,7 @@
 //! baselines recorded in `BENCH_archive.json`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
-use zugchain_archive::{Archive, FleetArchive, IngestLock};
+use zugchain_archive::{Archive, FleetArchive};
 use zugchain_blockchain::{Block, BlockBuilder, LoggedRequest};
 use zugchain_crypto::{KeyPair, Keystore};
 use zugchain_export::CertifiedSegment;
@@ -218,11 +218,9 @@ fn bench_audit_bundle(c: &mut Criterion) {
     });
 }
 
-/// Sharded fleet ingest vs the forced single-lock baseline: one thread
-/// per train, each draining its train's pre-certified segments into a
-/// shared [`FleetArchive`]. Under `per_shard` the only contention is the
-/// brief cross-index update; `global` serializes every ingest behind one
-/// mutex, which is what a fleet-unaware single archive would do.
+/// Sharded fleet ingest: one thread per train, each draining its train's
+/// pre-certified segments into a shared [`FleetArchive`]. The only
+/// contention is the brief cross-index update.
 fn bench_fleet_ingest(c: &mut Criterion) {
     let (pairs, keystore) = Keystore::generate(4, 7);
     let mut group = c.benchmark_group("archive/fleet_ingest");
@@ -240,36 +238,31 @@ fn bench_fleet_ingest(c: &mut Criterion) {
             .map(|s| s.blocks.len() * BLOCK_SIZE)
             .sum::<usize>() as u64;
         group.throughput(Throughput::Elements(requests));
-        for (mode, name) in [
-            (IngestLock::PerShard, "per_shard"),
-            (IngestLock::Global, "global"),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(name, n_trains),
-                &per_train,
-                |b, per_train| {
-                    b.iter(|| {
-                        let fleet = FleetArchive::in_memory(QUORUM).with_lock_mode(mode);
-                        for (train, _) in per_train {
-                            fleet
-                                .register_train(*train, keystore.clone())
-                                .expect("fresh registration");
+        group.bench_with_input(
+            BenchmarkId::new("per_shard", n_trains),
+            &per_train,
+            |b, per_train| {
+                b.iter(|| {
+                    let fleet = FleetArchive::in_memory(QUORUM);
+                    for (train, _) in per_train {
+                        fleet
+                            .register_train(*train, keystore.clone())
+                            .expect("fresh registration");
+                    }
+                    std::thread::scope(|scope| {
+                        for (_, segments) in per_train {
+                            let fleet = fleet.clone();
+                            scope.spawn(move || {
+                                for segment in segments {
+                                    fleet.ingest(segment).expect("certified segment ingests");
+                                }
+                            });
                         }
-                        std::thread::scope(|scope| {
-                            for (_, segments) in per_train {
-                                let fleet = fleet.clone();
-                                scope.spawn(move || {
-                                    for segment in segments {
-                                        fleet.ingest(segment).expect("certified segment ingests");
-                                    }
-                                });
-                            }
-                        });
-                        std::hint::black_box(fleet.request_count())
                     });
-                },
-            );
-        }
+                    std::hint::black_box(fleet.request_count())
+                });
+            },
+        );
     }
     group.finish();
 }

@@ -7,8 +7,9 @@
 //! Runs the seeded scenario for each seed in `[start, start + seeds)`.
 //! Every violation is minimized and written to
 //! `DIR/chaos-repro-<seed>.ron`, with the failing run's per-node
-//! flight-recorder tails next to it as `DIR/chaos-trace-<seed>.jsonl`;
-//! the process exits non-zero if any seed violated an invariant. `--mutate` arms the `mutation-hooks`
+//! trace-ring dumps (spans and events) next to it as
+//! `DIR/chaos-trace-<seed>.jsonl`; the process exits non-zero if any
+//! seed violated an invariant. `--mutate` arms the `mutation-hooks`
 //! equivocation bug on every scenario's initial primary (expect 100%
 //! violations — this is how the harness's own detection power is
 //! smoke-tested).
@@ -109,27 +110,14 @@ fn main() -> ExitCode {
                 eprintln!("  failed to write {}: {err}", path.display());
             }
         }
-        // The flight-recorder tails of the failing run ride along with
-        // the repro: each node's last events before the violation.
+        // The trace rings of the failing run ride along with the repro:
+        // each node's last spans and events before the violation.
         let trace_path = args.out.join(&failure.trace_file_name);
         match std::fs::write(&trace_path, failure.traces.concat()) {
             Ok(()) => println!("  wrote {}", trace_path.display()),
             Err(err) => {
                 wrote_all = false;
                 eprintln!("  failed to write {}: {err}", trace_path.display());
-            }
-        }
-        // When the violation names a consensus slot, the assembled
-        // cross-node span trees of that slot's traces land next to the
-        // flight-recorder dump.
-        if !failure.span_trees.is_empty() {
-            let span_path = args.out.join(&failure.span_tree_file_name);
-            match std::fs::write(&span_path, &failure.span_trees) {
-                Ok(()) => println!("  wrote {}", span_path.display()),
-                Err(err) => {
-                    wrote_all = false;
-                    eprintln!("  failed to write {}: {err}", span_path.display());
-                }
             }
         }
     }

@@ -27,7 +27,7 @@ use zugchain_export::{
 use zugchain_machine::{Driver, Effect, Frame, Host};
 use zugchain_mvb::Nsdb;
 use zugchain_pbft::{Checkpoint, CheckpointProof, Config, Message, NodeId};
-use zugchain_telemetry::{Registry, Telemetry, TraceEvent, TraceStore, DEFAULT_TRACE_CAPACITY};
+use zugchain_telemetry::{Registry, Telemetry, TraceEvent, DEFAULT_TRACE_CAPACITY};
 use zugchain_wire::TrainId;
 
 use crate::byzantine::ByzNode;
@@ -197,17 +197,14 @@ pub struct ChaosOutcome {
     /// liveness loss shows up as undecided operations or a blown view
     /// bound.
     pub quiesced: bool,
-    /// Per-node flight-recorder dumps (JSONL, virtual-time stamped —
-    /// byte-identical across replays of one plan). On a violation, every
-    /// node's trace ends with a `mark` record carrying the violation,
-    /// so the tail shows what each replica did right before the failure.
+    /// Per-node trace-ring dumps (JSONL, virtual-time stamped —
+    /// byte-identical across replays of one plan), spans and events in
+    /// recording order. On a violation, every node's trace ends with a
+    /// `mark` event carrying the violation, so the tail shows what each
+    /// replica did right before the failure, and the spans show each
+    /// request's causal lifecycle (including the Byzantine sender's own
+    /// spans).
     pub traces: Vec<String>,
-    /// When the violation names a consensus sequence number (decide
-    /// conflict, equivocation), the assembled cross-node span tree of
-    /// every trace id seen at that sn — written next to the flight
-    /// recorder dump so the post-mortem shows the full causal lifecycle
-    /// (including the Byzantine sender's own spans). Empty otherwise.
-    pub violation_span_trees: String,
 }
 
 // ---------------------------------------------------------------------
@@ -299,26 +296,16 @@ struct World {
     /// ends.
     pending_transfers: Vec<usize>,
     violation: Option<Violation>,
-    /// The consensus sequence number the first violation names, when it
-    /// names one — the lookup key for the span-tree dump.
-    violation_sn: Option<u64>,
 }
 
 impl World {
     fn fail(&mut self, kind: ViolationKind, detail: String) {
-        self.fail_at_sn(kind, detail, None);
-    }
-
-    /// Like [`fail`](Self::fail), but records the sequence number the
-    /// violation is about so the outcome can dump that sn's span trees.
-    fn fail_at_sn(&mut self, kind: ViolationKind, detail: String, sn: Option<u64>) {
         if self.violation.is_none() {
             self.violation = Some(Violation {
                 kind,
                 detail,
                 at_ms: self.now_ns / NS_PER_MS,
             });
-            self.violation_sn = sn;
         }
     }
 
@@ -421,14 +408,12 @@ impl World {
         let digest = pp.batch.digest();
         match self.preprepares.insert((src, pp.view, pp.sn), digest) {
             Some(previous) if previous != digest => {
-                let sn = pp.sn;
-                self.fail_at_sn(
+                self.fail(
                     ViolationKind::Equivocation,
                     format!(
-                        "node {src} proposed two batches for (view {}, sn {sn}): {previous} then {digest}",
-                        pp.view
+                        "node {src} proposed two batches for (view {}, sn {}): {previous} then {digest}",
+                        pp.view, pp.sn
                     ),
-                    Some(sn),
                 );
             }
             _ => {}
@@ -441,12 +426,11 @@ impl World {
                 let digest = Digest::of(&payload);
                 match self.decided_sn.get(&sn) {
                     Some(&previous) if previous != digest => {
-                        self.fail_at_sn(
+                        self.fail(
                             ViolationKind::DecideConflict,
                             format!(
                                 "sn {sn}: node {node} decided {digest}, another node decided {previous}"
                             ),
-                            Some(sn),
                         );
                     }
                     Some(_) => {}
@@ -543,12 +527,9 @@ impl Host<TrainMachine<ByzNode>> for ChaosHost<'_> {
 
 struct Chaos {
     drivers: Vec<Driver<TrainMachine<ByzNode>>>,
-    /// Per-node flight recorders sharing one registry; the trace clock
+    /// Per-node trace rings sharing one registry; the trace clock
     /// follows virtual time, so dumps are deterministic per plan.
     telemetry: Vec<Telemetry>,
-    /// The cluster-shared causal-span store all telemetry handles feed;
-    /// violation post-mortems assemble cross-node span trees from it.
-    traces: Arc<TraceStore>,
     world: World,
     dcs: Vec<DataCenter>,
     /// One in-memory fleet archive per data center: the chaos cluster's
@@ -600,16 +581,8 @@ impl Chaos {
         let nsdb = Nsdb::new();
 
         let registry = Arc::new(Registry::new());
-        let traces = Arc::new(TraceStore::new());
         let telemetry: Vec<Telemetry> = (0..n)
-            .map(|i| {
-                Telemetry::new_with_store(
-                    i as u64,
-                    Arc::clone(&registry),
-                    config.trace_capacity,
-                    Some(Arc::clone(&traces)),
-                )
-            })
+            .map(|i| Telemetry::new(i as u64, Arc::clone(&registry), config.trace_capacity))
             .collect();
         let mut drivers: Vec<Driver<TrainMachine<ByzNode>>> = (0..n)
             .map(|i| {
@@ -720,7 +693,6 @@ impl Chaos {
             pending_appended: Vec::new(),
             pending_transfers: Vec::new(),
             violation: None,
-            violation_sn: None,
             plan,
         };
 
@@ -740,7 +712,6 @@ impl Chaos {
         Self {
             drivers,
             telemetry,
-            traces,
             world,
             dcs,
             archives,
@@ -828,22 +799,6 @@ impl Chaos {
                 });
             }
         }
-        // When the violation names an sn, assemble every trace seen at
-        // that slot into span trees — more than one tree at one sn is
-        // itself the equivocation made visible, and each tree shows the
-        // (Byzantine) sender's own record/submit/batch_flush spans.
-        let violation_span_trees = self
-            .world
-            .violation_sn
-            .map(|sn| {
-                self.traces
-                    .traces_for_sn(sn)
-                    .into_iter()
-                    .map(|id| self.traces.render_tree(id))
-                    .collect::<Vec<_>>()
-                    .join("")
-            })
-            .unwrap_or_default();
         ChaosOutcome {
             violation: self.world.violation,
             decided: self.world.decided_log,
@@ -855,7 +810,6 @@ impl Chaos {
             delivered_messages: self.world.delivered,
             quiesced,
             traces: self.telemetry.iter().map(Telemetry::dump_jsonl).collect(),
-            violation_span_trees,
         }
     }
 

@@ -22,18 +22,13 @@ pub struct SeedFailure {
     pub repro: String,
     /// Suggested repro file name.
     pub file_name: String,
-    /// Flight-recorder tails from the original (unminimized) failing
-    /// run, one JSONL dump per node, each ending with the violation
-    /// mark (write their concatenation to `chaos-trace-<seed>.jsonl`).
+    /// Trace-ring dumps from the original (unminimized) failing run,
+    /// one JSONL dump of spans and events per node, each ending with
+    /// the violation mark (write their concatenation to
+    /// `chaos-trace-<seed>.jsonl`).
     pub traces: Vec<String>,
     /// Suggested trace file name, placed next to the repro.
     pub trace_file_name: String,
-    /// Assembled cross-node span trees for the violating sequence
-    /// number's trace ids (empty when the violation names no sn) —
-    /// write next to the flight-recorder dump.
-    pub span_trees: String,
-    /// Suggested span-tree file name, placed next to the trace dump.
-    pub span_tree_file_name: String,
 }
 
 /// Outcome of exploring a seed range.
@@ -80,8 +75,6 @@ pub fn explore(start: u64, count: u64, mutate: bool, minimize_runs: usize) -> Ex
                 file_name: format!("chaos-repro-{seed}.ron"),
                 traces: outcome.traces,
                 trace_file_name: format!("chaos-trace-{seed}.jsonl"),
-                span_trees: outcome.violation_span_trees,
-                span_tree_file_name: format!("chaos-spans-{seed}.txt"),
             });
         }
     }

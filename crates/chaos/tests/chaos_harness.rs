@@ -7,6 +7,7 @@ use zugchain_chaos::{
     ViolationKind,
 };
 use zugchain_pbft::{AuthMode, CommMode};
+use zugchain_telemetry::{parse_jsonl, JsonValue, ParsedRecord, Stage};
 
 /// Seeds checked on every `cargo test`. The extended bank (see
 /// `honest_seed_bank_extended`) and the CI `chaos-smoke` job cover
@@ -310,56 +311,68 @@ fn injected_equivocation_bug_is_caught_minimized_and_replayed() {
     let violation = outcome.violation.expect("armed bug must be caught");
     assert_eq!(violation.kind, ViolationKind::Equivocation);
 
-    // 1b. The flight recorders must tell the same story: every node's
-    //     trace parses back as JSONL and ends with the violation mark,
-    //     and the buggy primary's tail shows the equivocating sends
-    //     that tripped the invariant.
+    // 1b. The trace rings must tell the same story: every node's dump
+    //     parses back as JSONL and ends with the violation mark, and
+    //     the buggy primary's tail shows the equivocating sends that
+    //     tripped the invariant.
     assert_eq!(outcome.traces.len(), plan.n_nodes);
-    for (node, trace) in outcome.traces.iter().enumerate() {
-        let records = zugchain_telemetry::parse_jsonl(trace)
-            .unwrap_or_else(|e| panic!("node {node} trace is not valid JSONL: {e}"));
+    let dumps: Vec<Vec<ParsedRecord>> = outcome
+        .traces
+        .iter()
+        .enumerate()
+        .map(|(node, trace)| {
+            parse_jsonl(trace)
+                .unwrap_or_else(|e| panic!("node {node} trace is not valid JSONL: {e}"))
+        })
+        .collect();
+    for (node, records) in dumps.iter().enumerate() {
         assert!(!records.is_empty(), "node {node} trace is empty");
         let last = records.last().unwrap();
         assert_eq!(
-            last.kind, "mark",
+            last.kind(),
+            Some("mark"),
             "node {node} trace must end in the violation mark"
         );
         let label = last
             .field("label")
-            .and_then(zugchain_telemetry::JsonValue::as_str)
+            .and_then(JsonValue::as_str)
             .expect("mark has a label");
         assert!(
             label.contains("equivocation"),
             "node {node} mark does not name the violation: {label}"
         );
     }
-    let primary_trace =
-        zugchain_telemetry::parse_jsonl(&outcome.traces[0]).expect("primary trace parses");
+    let primary_trace = &dumps[0];
     assert!(
-        primary_trace.iter().rev().any(|r| r.kind == "effect"
-            && r.field("effect")
-                .and_then(zugchain_telemetry::JsonValue::as_str)
-                == Some("send")),
+        primary_trace
+            .iter()
+            .rev()
+            .any(|r| r.kind() == Some("effect")
+                && r.field("effect").and_then(JsonValue::as_str) == Some("send")),
         "buggy primary's tail must show the equivocating per-peer sends"
     );
 
-    // 1c. The violation names a consensus slot, so the outcome carries
-    //     the assembled cross-node span tree(s) of that slot's traces —
-    //     the causal record of what the Byzantine primary itself sent:
-    //     its own batch_flush span, parented on the origin's submit.
+    // 1c. The same dumps carry the causal record of what the Byzantine
+    //     primary itself did at the violating slot: its own batch_flush
+    //     span at that sn, parented on the origin's submit span.
+    let sn: u64 = violation
+        .detail
+        .split_once(", sn ")
+        .and_then(|(_, rest)| rest.split_once(')'))
+        .and_then(|(sn, _)| sn.parse().ok())
+        .expect("an equivocation names its sn");
+    let flush = primary_trace
+        .iter()
+        .filter_map(ParsedRecord::span)
+        .find(|s| s.stage == Stage::BatchFlush && s.node == 0 && s.sn == sn)
+        .unwrap_or_else(|| panic!("primary's dump must hold its batch_flush at sn {sn}"));
     assert!(
-        !outcome.violation_span_trees.is_empty(),
-        "equivocation must dump the violating slot's span trees"
-    );
-    assert!(
-        outcome.violation_span_trees.contains("batch_flush node=0"),
-        "span tree must show the Byzantine primary's own flush:\n{}",
-        outcome.violation_span_trees
-    );
-    assert!(
-        outcome.violation_span_trees.contains("submit node="),
-        "span tree must chain back to the origin's submit:\n{}",
-        outcome.violation_span_trees
+        dumps
+            .iter()
+            .flatten()
+            .filter_map(ParsedRecord::span)
+            .any(|s| s.stage == Stage::Submit && s.span_id == flush.parent_span),
+        "batch_flush at sn {sn} must chain back to the origin's submit"
     );
 
     // 2. Minimize: a single op suffices to trigger a primary proposal,

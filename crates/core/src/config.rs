@@ -32,11 +32,11 @@ pub struct NodeConfig {
     /// filter's sliding window (§III-C: "a hashmap over the requests of a
     /// sliding window of past checkpoints").
     pub dedup_window_checkpoints: usize,
-    /// Capacity of the per-node flight-recorder ring and causal-span ring
-    /// (events retained per node). Overflow keeps the newest events. The
-    /// cluster-shared `TraceStore` is a view over the span rings, so this
-    /// also bounds the cross-node store: at most `trace_capacity` spans
-    /// per node.
+    /// Capacity of the per-node trace ring, in entries (spans and
+    /// events) retained per node. Overflow keeps the newest entries. The
+    /// cluster-shared `TraceStore` is a view over the spans in the
+    /// rings, so this also bounds the cross-node store: at most
+    /// `trace_capacity` spans per node.
     pub trace_capacity: usize,
 }
 
@@ -107,9 +107,9 @@ impl NodeConfig {
         self
     }
 
-    /// Overrides the flight-recorder / span-ring capacity, and with it
-    /// the cluster trace store's retention (a floor of 1 is applied by
-    /// the ring itself).
+    /// Overrides the trace-ring capacity in entries (spans and events),
+    /// and with it the cluster trace store's retention (a floor of 1 is
+    /// applied by the ring itself).
     #[must_use]
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
         self.trace_capacity = capacity;

@@ -1,7 +1,7 @@
 //! The node-level [`Observer`]: maps the typed traffic at the
 //! [`Driver`](zugchain_machine::Driver) seam — inputs, effects and the
 //! timer lifecycle of a [`TrainMachine`] — into the structured
-//! [`TraceEvent`] vocabulary of the flight recorder. Every runtime that
+//! [`TraceEvent`] vocabulary of the trace ring. Every runtime that
 //! drives nodes through the shared driver (simulator, threaded, TCP,
 //! chaos) gets identical traces by attaching this one observer.
 
@@ -28,7 +28,7 @@ pub fn timer_label(id: &TimerId) -> String {
 /// Message deliveries, protocol milestones (decide, view change,
 /// checkpoint, state transfer — read off the machine's
 /// [`NodeEvent`] outputs), send/broadcast effects, and the timer
-/// lifecycle (with generations) all land in the node's flight recorder,
+/// lifecycle (with generations) all land in the node's trace ring,
 /// timestamped from the telemetry clock.
 #[derive(Debug, Clone)]
 pub struct NodeObserver {
@@ -52,7 +52,7 @@ impl<N: TrainNode> Observer<TrainMachine<N>> for NodeObserver {
     fn input(&mut self, input: &NodeInput) {
         if let NodeInput::Message(message) = input {
             self.telemetry.record_with(|| TraceEvent::MessageDelivered {
-                kind: message.kind().to_string(),
+                kind: message.kind(),
             });
         }
     }

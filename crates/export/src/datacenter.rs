@@ -209,7 +209,7 @@ impl DataCenter {
 
     /// Attaches a telemetry handle: resolves the data center's metric
     /// handles (`zugchain_export_*`) and enables export-round trace
-    /// events in the flight recorder.
+    /// events in its trace ring.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.metrics = DcMetrics::resolve(telemetry);
         self.metrics.archive_height.set(self.last_height as i64);

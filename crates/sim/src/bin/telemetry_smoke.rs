@@ -8,16 +8,17 @@
 //! Runs the scenario via [`Simulation::run_instrumented`], then:
 //!
 //! * writes the Prometheus exposition to `DIR/metrics.prom` and each
-//!   node's flight-recorder dump to `DIR/trace-node<i>.jsonl`;
-//! * prints the exposition on stdout, preceded by machine-readable
+//!   node's trace-ring dump (spans and events) to
+//!   `DIR/trace-node<i>.jsonl`;
+//! * prints the exposition on stdout, preceded by
 //!   `run-metric: <name>=<value>` lines carrying the simulator's own
-//!   [`RunMetrics`] so the CI job can cross-check the registry against
-//!   the run report (`zugchain_pbft_decided_total` must equal
-//!   `consensus_decided` on the reference node, the view gauge must be
-//!   present and non-negative);
+//!   [`RunMetrics`];
 //! * exits non-zero if the exposition fails its own round-trip parse or
-//!   any trace fails JSONL parsing — the artifacts must be usable before
-//!   CI ever looks at them.
+//!   any trace fails JSONL parsing — the artifacts must be usable.
+//!
+//! The cross-checks of the default run (registry against run report,
+//! view gauges, non-empty dumps) are the `telemetry_smoke` test of this
+//! crate.
 //!
 //! [`RunMetrics`]: zugchain_sim::RunMetrics
 

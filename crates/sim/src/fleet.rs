@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use zugchain_api::{ApiConfig, ApiServer, Backend};
-use zugchain_archive::{FleetArchive, IngestLock};
+use zugchain_archive::FleetArchive;
 use zugchain_blockchain::{Block, BlockBuilder, ChainStore, LoggedRequest};
 use zugchain_crypto::{Digest, KeyPair, Keystore};
 use zugchain_export::{
@@ -44,8 +44,6 @@ pub struct FleetConfig {
     pub blocks_per_segment: usize,
     /// Requests bundled per block.
     pub block_size: usize,
-    /// Ingest locking mode of the shared archive.
-    pub lock_mode: IngestLock,
     /// Deterministic seed for every train's key generation.
     pub seed: u64,
 }
@@ -57,7 +55,6 @@ impl Default for FleetConfig {
             segments_per_train: 3,
             blocks_per_segment: 4,
             block_size: 5,
-            lock_mode: IngestLock::PerShard,
             seed: 0xF1EE7,
         }
     }
@@ -312,7 +309,7 @@ pub fn run_fleet(config: &FleetConfig, telemetry: &zugchain_telemetry::Telemetry
 
     // --- Sharded archive: register every train, then ingest with one
     // thread per train against the shared archive. ---
-    let archive = FleetArchive::in_memory(REPLICA_QUORUM).with_lock_mode(config.lock_mode);
+    let archive = FleetArchive::in_memory(REPLICA_QUORUM);
     archive.set_telemetry(telemetry);
     for (train, keystore, ..) in &exported {
         archive

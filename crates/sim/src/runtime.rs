@@ -261,19 +261,12 @@ impl ThreadedCluster {
         self.registry.render_prometheus()
     }
 
-    /// JSONL flight-recorder dump of one node (empty when out of range).
+    /// JSONL trace-ring dump of one node, spans and events (empty when
+    /// out of range).
     pub fn trace_jsonl(&self, node: usize) -> String {
         self.telemetry
             .get(node)
             .map(Telemetry::dump_jsonl)
-            .unwrap_or_default()
-    }
-
-    /// JSONL causal-span dump of one node (empty when out of range).
-    pub fn span_jsonl(&self, node: usize) -> String {
-        self.telemetry
-            .get(node)
-            .map(Telemetry::span_jsonl)
             .unwrap_or_default()
     }
 

@@ -90,7 +90,7 @@ pub struct Simulation {
     /// Shared metrics registry all per-node telemetry handles publish
     /// into; [`RunMetrics`] consensus counters are read from here.
     registry: Arc<Registry>,
-    /// Per-node telemetry handles (flight recorder + virtual clock).
+    /// Per-node telemetry handles (trace ring + virtual clock).
     telemetry: Vec<Telemetry>,
     /// Cluster-shared causal-span store: every node's telemetry handle
     /// records spans here, so traces can be joined across nodes by id.
@@ -99,16 +99,15 @@ pub struct Simulation {
 
 /// Telemetry captured by [`Simulation::run_instrumented`]: the shared
 /// registry (for Prometheus exposition / snapshot queries) and each
-/// node's flight-recorder dump. Deterministic for a fixed
+/// node's trace-ring dump. Deterministic for a fixed
 /// `(config, seed)`: trace timestamps come from the virtual clock.
 #[derive(Debug, Clone)]
 pub struct TelemetryCapture {
     /// The run's metrics registry.
     pub registry: Arc<Registry>,
-    /// Per-node JSONL flight-recorder dumps, indexed by node id.
+    /// Per-node JSONL trace-ring dumps (spans and events), indexed by
+    /// node id.
     pub traces: Vec<String>,
-    /// Per-node JSONL causal-span dumps, indexed by node id.
-    pub spans: Vec<String>,
     /// The cluster-shared span store, for cross-node trace assembly.
     pub trace_store: Arc<TraceStore>,
 }
@@ -555,7 +554,7 @@ impl Simulation {
     }
 
     /// Runs the scenario and additionally returns the telemetry capture:
-    /// the metrics registry and every node's flight-recorder JSONL dump.
+    /// the metrics registry and every node's trace-ring JSONL dump.
     pub fn run_instrumented(mut self) -> (RunMetrics, TelemetryCapture) {
         self.run_to_end();
         self.collect()
@@ -634,7 +633,6 @@ impl Simulation {
             .unwrap_or((0, 0));
         let registry = Arc::clone(&self.registry);
         let traces: Vec<String> = self.telemetry.iter().map(Telemetry::dump_jsonl).collect();
-        let spans: Vec<String> = self.telemetry.iter().map(Telemetry::span_jsonl).collect();
         let trace_store = Arc::clone(&self.traces);
         let mut metrics = self.world.finish(end_ns, &registry);
         metrics.consensus_decided = consensus_decided;
@@ -644,7 +642,6 @@ impl Simulation {
             TelemetryCapture {
                 registry,
                 traces,
-                spans,
                 trace_store,
             },
         )
@@ -899,8 +896,7 @@ mod tests {
         // Same deterministic run twice: once with a ring big enough to
         // hold everything, once with a tiny one. Overflow must evict
         // the oldest entries only — the tiny dump is exactly the tail
-        // of the full dump, for both the flight recorder and the span
-        // ring, on every node.
+        // of the full dump on every node, spans and events alike.
         let mut config = quick(Mode::Zugchain, 64, 256);
         config.duration_ms = 2_000;
         let full_config = ScenarioConfig {
@@ -913,28 +909,29 @@ mod tests {
         };
         let (_, full) = Simulation::new(&full_config, 5).run_instrumented();
         let (_, tiny) = Simulation::new(&tiny_config, 5).run_instrumented();
-        for node in 0..full.traces.len() {
-            for (name, full_dump, tiny_dump) in [
-                ("flight recorder", &full.traces[node], &tiny.traces[node]),
-                ("span ring", &full.spans[node], &tiny.spans[node]),
-            ] {
-                let full_lines: Vec<&str> = full_dump.lines().collect();
-                let tiny_lines: Vec<&str> = tiny_dump.lines().collect();
-                assert!(
-                    tiny_lines.len() <= 4,
-                    "node {node} {name}: tiny ring holds {} > 4 entries",
-                    tiny_lines.len()
-                );
-                assert!(
-                    full_lines.len() > tiny_lines.len(),
-                    "node {node} {name}: the run must overflow the tiny ring"
-                );
-                assert_eq!(
-                    tiny_lines.as_slice(),
-                    &full_lines[full_lines.len() - tiny_lines.len()..],
-                    "node {node} {name}: overflow must keep the newest entries"
-                );
-            }
+        for (node, (full_dump, tiny_dump)) in full.traces.iter().zip(&tiny.traces).enumerate() {
+            let records = zugchain_telemetry::parse_jsonl(full_dump).expect("dump parses");
+            assert!(
+                records.iter().any(|r| r.span().is_some())
+                    && records.iter().any(|r| r.span().is_none()),
+                "node {node}: the one dump must hold spans and events"
+            );
+            let full_lines: Vec<&str> = full_dump.lines().collect();
+            let tiny_lines: Vec<&str> = tiny_dump.lines().collect();
+            assert!(
+                tiny_lines.len() <= 4,
+                "node {node}: tiny ring holds {} > 4 entries",
+                tiny_lines.len()
+            );
+            assert!(
+                full_lines.len() > tiny_lines.len(),
+                "node {node}: the run must overflow the tiny ring"
+            );
+            assert_eq!(
+                tiny_lines.as_slice(),
+                &full_lines[full_lines.len() - tiny_lines.len()..],
+                "node {node}: overflow must keep the newest entries"
+            );
         }
     }
 

@@ -1,7 +1,15 @@
-//! The minimal flat-JSON dialect the flight recorder emits: one object
-//! per line, string/unsigned-integer/boolean values only, no nesting.
-//! A hand-rolled writer/parser pair keeps the crate dependency-free
-//! while letting tests round-trip every dumped line.
+//! The workspace's one JSON writer and the flat-object parser behind
+//! trace dumps.
+//!
+//! The zero-dependency discipline rules out serde. Every shape written
+//! here is known at the call site: trace-ring lines (one flat object
+//! per line, string/unsigned-integer/boolean values) and the serving
+//! layer's responses (objects and arrays built from pre-rendered
+//! parts). So a push-style builder with correct string escaping covers
+//! everything without a value tree, and [`parse_flat_object`] reads any
+//! trace line back.
+
+use std::fmt::Write as _;
 
 /// A value in a flat JSON object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,30 +82,139 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push_str(&s[copied..]);
 }
 
-/// Writes one `"key":value` pair onto `out` (comma-prefixed when not
-/// first).
-pub(crate) fn push_field(out: &mut String, first: &mut bool, key: &str, value: &JsonValue) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push('"');
-    escape_into(out, key);
-    out.push_str("\":");
-    match value {
-        JsonValue::U64(v) => out.push_str(&v.to_string()),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Str(s) => {
-            out.push('"');
-            escape_into(out, s);
-            out.push('"');
+/// Builder for one JSON object (`{...}`).
+#[derive(Debug)]
+pub struct JsonObject {
+    buf: String,
+    first: bool,
+}
+
+impl JsonObject {
+    /// Starts an empty object.
+    #[inline]
+    pub fn new() -> Self {
+        JsonObject {
+            buf: String::from("{"),
+            first: true,
         }
     }
+
+    #[inline]
+    fn key(&mut self, name: &str) {
+        if !self.first {
+            self.buf.push(',');
+        }
+        self.first = false;
+        self.buf.push('"');
+        escape_into(&mut self.buf, name);
+        self.buf.push_str("\":");
+    }
+
+    /// Adds an unsigned integer field.
+    #[inline]
+    #[must_use]
+    pub fn field_u64(mut self, name: &str, value: u64) -> Self {
+        self.key(name);
+        let _ = write!(self.buf, "{value}");
+        self
+    }
+
+    /// Adds a boolean field.
+    #[inline]
+    #[must_use]
+    pub fn field_bool(mut self, name: &str, value: bool) -> Self {
+        self.key(name);
+        self.buf.push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Adds a string field (escaped).
+    #[inline]
+    #[must_use]
+    pub fn field_str(mut self, name: &str, value: &str) -> Self {
+        self.key(name);
+        self.buf.push('"');
+        escape_into(&mut self.buf, value);
+        self.buf.push('"');
+        self
+    }
+
+    /// Adds `bytes` as a string of lowercase hex digits — the text a
+    /// digest's `Display` prints, written without an intermediate string.
+    #[inline]
+    #[must_use]
+    pub fn field_hex(mut self, name: &str, bytes: &[u8]) -> Self {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.key(name);
+        self.buf.reserve(bytes.len() * 2 + 2);
+        self.buf.push('"');
+        for &byte in bytes {
+            self.buf.push(HEX[usize::from(byte >> 4)] as char);
+            self.buf.push(HEX[usize::from(byte & 0xf)] as char);
+        }
+        self.buf.push('"');
+        self
+    }
+
+    /// Adds a pre-rendered JSON value (object, array, literal) verbatim.
+    #[inline]
+    #[must_use]
+    pub fn field_raw(mut self, name: &str, value: &str) -> Self {
+        self.key(name);
+        self.buf.push_str(value);
+        self
+    }
+
+    /// Adds `value` as a number, or `null` when absent.
+    #[inline]
+    #[must_use]
+    pub fn field_opt_u64(self, name: &str, value: Option<u64>) -> Self {
+        match value {
+            Some(value) => self.field_u64(name, value),
+            None => self.field_raw(name, "null"),
+        }
+    }
+
+    /// Closes the object and returns the JSON text.
+    #[inline]
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
+    }
+}
+
+impl Default for JsonObject {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Renders a JSON array from pre-rendered element texts.
+pub fn array(elements: impl IntoIterator<Item = String>) -> String {
+    let mut buf = String::from("[");
+    for (i, element) in elements.into_iter().enumerate() {
+        if i > 0 {
+            buf.push(',');
+        }
+        buf.push_str(&element);
+    }
+    buf.push(']');
+    buf
+}
+
+/// Renders a JSON array of (escaped) strings.
+pub fn string_array<S: AsRef<str>>(elements: impl IntoIterator<Item = S>) -> String {
+    array(elements.into_iter().map(|s| {
+        let mut quoted = String::from('"');
+        escape_into(&mut quoted, s.as_ref());
+        quoted.push('"');
+        quoted
+    }))
 }
 
 /// Parses one flat JSON object (`{"k":v,...}`) into its key/value pairs,
 /// preserving order. Rejects nesting, trailing garbage, and any syntax
-/// outside the dialect the recorder emits.
+/// outside the dialect the trace ring emits.
 pub fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
     let mut chars = line.trim().char_indices().peekable();
     let text = line.trim();
@@ -220,17 +337,11 @@ mod tests {
 
     #[test]
     fn round_trips_every_value_kind() {
-        let mut line = String::from("{");
-        let mut first = true;
-        push_field(&mut line, &mut first, "n", &JsonValue::U64(u64::MAX));
-        push_field(
-            &mut line,
-            &mut first,
-            "s",
-            &JsonValue::Str("a\"b\\c\nd\u{1}".into()),
-        );
-        push_field(&mut line, &mut first, "b", &JsonValue::Bool(true));
-        line.push('}');
+        let line = JsonObject::new()
+            .field_u64("n", u64::MAX)
+            .field_str("s", "a\"b\\c\nd\u{1}")
+            .field_bool("b", true)
+            .finish();
         let fields = parse_flat_object(&line).unwrap();
         assert_eq!(fields[0], ("n".into(), JsonValue::U64(u64::MAX)));
         assert_eq!(
@@ -238,6 +349,41 @@ mod tests {
             ("s".into(), JsonValue::Str("a\"b\\c\nd\u{1}".into()))
         );
         assert_eq!(fields[2], ("b".into(), JsonValue::Bool(true)));
+    }
+
+    #[test]
+    fn escapes_quotes_and_control_bytes() {
+        let text = JsonObject::new()
+            .field_str("k\"", "a\"b\\c\n\u{1}")
+            .finish();
+        assert_eq!(text, "{\"k\\\"\":\"a\\\"b\\\\c\\n\\u0001\"}");
+    }
+
+    #[test]
+    fn hex_fields_are_lowercase_digit_pairs() {
+        let text = JsonObject::new()
+            .field_hex("h", &[0x00, 0xab, 0x0f])
+            .finish();
+        assert_eq!(text, "{\"h\":\"00ab0f\"}");
+    }
+
+    #[test]
+    fn builds_nested_objects() {
+        let inner = JsonObject::new().field_u64("sn", 7).finish();
+        let text = JsonObject::new()
+            .field_str("train", "ICE-1")
+            .field_raw("blocks", &array([inner]))
+            .field_opt_u64("next_sn", None)
+            .finish();
+        assert_eq!(
+            text,
+            "{\"train\":\"ICE-1\",\"blocks\":[{\"sn\":7}],\"next_sn\":null}"
+        );
+    }
+
+    #[test]
+    fn string_arrays_escape_elements() {
+        assert_eq!(string_array(["a", "b\"c"]), "[\"a\",\"b\\\"c\"]");
     }
 
     #[test]

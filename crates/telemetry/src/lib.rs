@@ -8,15 +8,17 @@
 //!   [`Registry::snapshot`] API and Prometheus-text-format exposition
 //!   ([`Registry::render_prometheus`]) plus a round-trip parser
 //!   ([`parse_prometheus`]) so tests can verify every emitted line;
-//! * a **flight recorder** ([`FlightRecorder`]) — a fixed-capacity ring
-//!   buffer of structured [`TraceEvent`]s timestamped from a
-//!   runtime-driven clock (virtual time under the simulator, wall-clock
-//!   milliseconds on the threaded/TCP runtimes), dumpable to JSONL on
-//!   demand and parseable back ([`parse_jsonl`]) for post-mortems.
+//! * a **trace ring** per node — one fixed-capacity buffer of causal
+//!   [`Span`]s and point [`TraceEvent`]s (zero-duration entries) in
+//!   recording order, timestamped from a runtime-driven clock (virtual
+//!   time under the simulator, wall-clock milliseconds on the
+//!   threaded/TCP runtimes), dumpable to JSONL on demand and parseable
+//!   back ([`parse_jsonl`]) for post-mortems. A cluster-shared
+//!   [`TraceStore`] joins the spans of every ring by trace id.
 //!
 //! The per-node entry point is [`Telemetry`]: a cheap, cloneable handle
 //! that is either *enabled* (backed by a shared registry and a private
-//! ring buffer) or *disabled* (a `None` — every operation is a single
+//! trace ring) or *disabled* (a `None` — every operation is a single
 //! branch, so instrumented hot paths stay free when observability is
 //! off). Metric handles ([`Counter`], [`Gauge`], [`Histogram`]) follow
 //! the same scheme and are meant to be resolved once and cached in the
@@ -28,7 +30,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod json;
+pub mod json;
 mod metrics;
 mod recorder;
 mod span;
@@ -38,21 +40,20 @@ pub use metrics::{
     bucket_index, bucket_upper_bound, parse_prometheus, Counter, Gauge, Histogram,
     HistogramSnapshot, ParsedSample, Registry, Sample, SampleValue, HISTOGRAM_BUCKETS,
 };
-pub use recorder::{parse_jsonl, FlightRecorder, ParsedRecord, TraceEvent, TraceRecord};
-pub use span::{
-    check_chain, parse_span_jsonl, ChainCheck, Span, SpanBuffer, Stage, TraceStore, STAGES,
-};
+pub use recorder::{parse_jsonl, ParsedRecord, TraceEvent};
+pub use span::{check_chain, ChainCheck, Span, Stage, TraceStore, STAGES};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-use span::SharedRing;
+use recorder::{Entry, SharedRing, TraceRing};
 
-/// Default flight-recorder capacity (events retained per node).
+/// Default trace-ring capacity (entries, spans and events, retained per
+/// node).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
-/// A per-node observability handle: clock, flight recorder, and a view
-/// onto the shared metrics registry with the node label pre-applied.
+/// A per-node observability handle: clock, trace ring, and a view onto
+/// the shared metrics registry with the node label pre-applied.
 ///
 /// Cloning is cheap (an `Arc` bump); a [`Telemetry::disabled`] handle
 /// (also the `Default`) makes every operation a no-op behind one branch.
@@ -77,20 +78,19 @@ struct TelemetryInner {
     /// (`Arc`) with handles derived via [`Telemetry::for_train`], so the
     /// runtime only has to drive the parent handle's clock.
     now_ms: Arc<AtomicU64>,
-    recorder: Mutex<FlightRecorder>,
-    /// Span ring alongside the flight recorder, same capacity: the only
-    /// copy of this handle's spans, registered with `trace_store`.
-    spans: SharedRing,
+    /// This handle's spans and events, `trace_capacity` entries: the
+    /// only copy of its spans, registered with `trace_store`.
+    ring: SharedRing,
     /// Cluster-shared cross-node view, when the runtime wired one.
     trace_store: Option<Arc<TraceStore>>,
     /// `zugchain_stage_latency_ms{stage=...}` handles, resolved once on
     /// the first span so the per-span path never takes the registry
     /// lock.
     stage_latency: OnceLock<Vec<Histogram>>,
-    /// `zugchain_telemetry_dropped_total{ring="span"|"event"}`, resolved
-    /// on the first eviction for the same reason.
-    dropped_spans: OnceLock<Counter>,
-    dropped_events: OnceLock<Counter>,
+    /// `zugchain_telemetry_dropped_total{ring="span"|"event"}`, indexed
+    /// by the kind of entry evicted and resolved on its first eviction
+    /// for the same reason.
+    dropped: [OnceLock<Counter>; 2],
     registry: Arc<Registry>,
 }
 
@@ -111,14 +111,15 @@ impl Telemetry {
     }
 
     /// An enabled handle for `node`, publishing metrics into `registry`
-    /// and tracing into a private ring buffer of `trace_capacity` events.
+    /// and tracing into a private ring of `trace_capacity` entries (spans
+    /// and events).
     pub fn new(node: u64, registry: Arc<Registry>, trace_capacity: usize) -> Self {
         Self::new_with_store(node, registry, trace_capacity, None)
     }
 
     /// Like [`Telemetry::new`] with a cluster-shared [`TraceStore`]:
-    /// this handle's span ring is registered with `store`, which joins
-    /// it with every other node's ring at read time.
+    /// this handle's trace ring is registered with `store`, which joins
+    /// its spans with every other node's at read time.
     pub fn new_with_store(
         node: u64,
         registry: Arc<Registry>,
@@ -140,9 +141,9 @@ impl Telemetry {
     /// Derives a handle namespaced under a train of the fleet: metrics
     /// it resolves carry a `train="<id>"` label in addition to the
     /// `node="<id>"` label. The derived handle shares the registry and
-    /// trace store **and the runtime clock** but owns a fresh flight
-    /// recorder and span ring (registered with the store). Deriving from
-    /// a disabled handle stays disabled.
+    /// trace store **and the runtime clock** but owns a fresh trace ring
+    /// (registered with the store). Deriving from a disabled handle
+    /// stays disabled.
     pub fn for_train(&self, train: u64) -> Telemetry {
         match &self.inner {
             None => Telemetry::disabled(),
@@ -196,22 +197,22 @@ impl Telemetry {
         }
     }
 
-    /// Appends a trace event, timestamping it from the trace clock. The
-    /// closure only runs when enabled, so a disabled handle never pays
-    /// for event construction.
+    /// Appends a point event to the trace ring, timestamping it from the
+    /// trace clock. The closure only runs when enabled, so a disabled
+    /// handle never pays for event construction.
     pub fn record_with(&self, event: impl FnOnce() -> TraceEvent) {
         if let Some(inner) = &self.inner {
-            let t = inner.now_ms.load(Ordering::Relaxed);
-            let mut recorder = inner.recorder.lock().expect("recorder poisoned");
-            if recorder.record(t, inner.node, event()) {
-                inner.count_drop(&inner.dropped_events, "event");
-            }
+            inner.record(Entry::Event {
+                at_ms: inner.now_ms.load(Ordering::Relaxed),
+                node: inner.node,
+                event: event(),
+            });
         }
     }
 
     /// Records one causal span: it is observed by the
     /// `zugchain_stage_latency_ms{stage=...}` histogram family and
-    /// stored once, in this handle's span ring (which the cluster-shared
+    /// stored once, in this handle's trace ring (which the cluster-shared
     /// [`TraceStore`], when wired, reads). The closure only runs when
     /// enabled, so a disabled handle pays one branch.
     pub fn record_span(&self, make: impl FnOnce() -> Span) {
@@ -229,23 +230,7 @@ impl Telemetry {
                 .collect()
         });
         stage_hist[span.stage.order()].observe(span.latency_ms());
-        let mut ring = inner.spans.lock().expect("span buffer poisoned");
-        if ring.record(span) {
-            inner.count_drop(&inner.dropped_spans, "span");
-        }
-    }
-
-    /// Dumps this node's span ring as JSONL, oldest span first. Empty
-    /// string when disabled.
-    pub fn span_jsonl(&self) -> String {
-        match &self.inner {
-            Some(inner) => inner
-                .spans
-                .lock()
-                .expect("span buffer poisoned")
-                .dump_jsonl(),
-            None => String::new(),
-        }
+        inner.record(Entry::Span(span));
     }
 
     /// Resolves (registering on first use) a counter named `name` with
@@ -286,31 +271,20 @@ impl Telemetry {
         self.inner.as_ref().map(|i| Arc::clone(&i.registry))
     }
 
-    /// Dumps the flight recorder as JSONL, oldest event first. Empty
-    /// string when disabled.
+    /// Dumps the trace ring as JSONL, oldest entry first: spans and
+    /// events alike, read back by [`parse_jsonl`]. Empty string when
+    /// disabled.
     pub fn dump_jsonl(&self) -> String {
         match &self.inner {
-            Some(inner) => inner
-                .recorder
-                .lock()
-                .expect("recorder poisoned")
-                .dump_jsonl(),
+            Some(inner) => inner.ring.lock().expect("trace ring poisoned").dump_jsonl(),
             None => String::new(),
         }
     }
 
-    /// The most recent `n` trace records, oldest first.
-    pub fn tail(&self, n: usize) -> Vec<TraceRecord> {
-        match &self.inner {
-            Some(inner) => inner.recorder.lock().expect("recorder poisoned").tail(n),
-            None => Vec::new(),
-        }
-    }
-
     /// Registers this handle with a process-wide panic hook that dumps
-    /// every registered (and still live) flight recorder to stderr as
-    /// JSONL before the previous hook runs — so a crashing node thread
-    /// leaves its last events behind instead of taking them down with
+    /// every registered (and still live) trace ring to stderr as JSONL
+    /// before the previous hook runs — so a crashing node thread leaves
+    /// its last spans and events behind instead of taking them down with
     /// the process. Registration holds only a weak reference; dropped
     /// handles are pruned and never dumped. No-op when disabled.
     pub fn dump_on_panic(&self) {
@@ -335,10 +309,10 @@ fn panic_traces() -> &'static Mutex<Vec<Weak<TelemetryInner>>> {
     })
 }
 
-/// Renders every panic-registered, still-live flight recorder as a
+/// Renders every panic-registered, still-live trace ring as a
 /// stderr-ready block (what the panic hook prints). `try_lock` is used
-/// throughout: if the panicking thread holds a recorder or registry
-/// lock, its dump is skipped rather than deadlocking the hook.
+/// throughout: if the panicking thread holds a ring or registry lock,
+/// its dump is skipped rather than deadlocking the hook.
 fn panic_dump() -> String {
     let mut out = String::new();
     let Some(traces) = PANIC_TRACES.get() else {
@@ -348,17 +322,17 @@ fn panic_dump() -> String {
         return out;
     };
     for inner in traces.iter().filter_map(Weak::upgrade) {
-        if let Ok(recorder) = inner.recorder.try_lock() {
-            out.push_str(&format!("--- flight recorder: node {} ---\n", inner.node));
-            out.push_str(&recorder.dump_jsonl());
+        if let Ok(ring) = inner.ring.try_lock() {
+            out.push_str(&format!("--- trace ring: node {} ---\n", inner.node));
+            out.push_str(&ring.dump_jsonl());
         }
     }
     out
 }
 
 impl TelemetryInner {
-    /// A handle's state with a fresh flight recorder and span ring, the
-    /// ring registered with `store` when one is given.
+    /// A handle's state with a fresh trace ring, registered with `store`
+    /// when one is given.
     fn new(
         node: u64,
         train: Option<u64>,
@@ -367,9 +341,9 @@ impl TelemetryInner {
         store: Option<Arc<TraceStore>>,
         registry: Arc<Registry>,
     ) -> Self {
-        let spans: SharedRing = Arc::new(Mutex::new(SpanBuffer::new(trace_capacity)));
+        let ring: SharedRing = Arc::new(Mutex::new(TraceRing::new(trace_capacity)));
         if let Some(store) = &store {
-            store.register(Arc::clone(&spans));
+            store.register(Arc::clone(&ring));
         }
         Self {
             node,
@@ -378,20 +352,21 @@ impl TelemetryInner {
             train_id: train.unwrap_or(0),
             trace_capacity,
             now_ms,
-            recorder: Mutex::new(FlightRecorder::new(trace_capacity)),
-            spans,
+            ring,
             trace_store: store,
             stage_latency: OnceLock::new(),
-            dropped_spans: OnceLock::new(),
-            dropped_events: OnceLock::new(),
+            dropped: [OnceLock::new(), OnceLock::new()],
             registry,
         }
     }
 
-    /// Counts one eviction from `ring`, resolving the counter on first
-    /// use.
-    fn count_drop(&self, counter: &OnceLock<Counter>, ring: &str) {
-        counter
+    /// Appends `entry` to the ring and counts what it evicted, by kind.
+    /// The evicted entry is dropped after the ring lock is released.
+    fn record(&self, entry: Entry) {
+        let evicted = self.ring.lock().expect("trace ring poisoned").record(entry);
+        let Some(evicted) = evicted else { return };
+        let ring = evicted.ring_label();
+        self.dropped[usize::from(ring == "event")]
             .get_or_init(|| {
                 let labels = self.with_node_label(&[("ring", ring)]);
                 self.registry
@@ -427,8 +402,8 @@ mod tests {
         t.counter("zugchain_test_total").inc();
         t.gauge("zugchain_test_gauge").set(7);
         t.histogram("zugchain_test_hist").observe(9);
+        t.record_span(|| unreachable!("closure must not run when disabled"));
         assert_eq!(t.dump_jsonl(), "");
-        assert!(t.tail(10).is_empty());
     }
 
     #[test]
@@ -476,10 +451,18 @@ mod tests {
         t.set_time_ms(10);
         t.set_time_ms(5); // ignored: the clock never rewinds
         t.record_with(|| TraceEvent::Checkpoint { sn: 1 });
-        let tail = t.tail(1);
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].time_ms, 10);
-        assert_eq!(tail[0].node, 0);
+        let parsed = parse_jsonl(&t.dump_jsonl()).unwrap();
+        assert!(
+            matches!(
+                parsed[..],
+                [ParsedRecord::Event {
+                    at_ms: 10,
+                    node: 0,
+                    ..
+                }]
+            ),
+            "{parsed:?}"
+        );
     }
 
     #[test]
@@ -488,12 +471,27 @@ mod tests {
         let live = Telemetry::new(7, Arc::clone(&registry), 8);
         live.dump_on_panic();
         live.record_with(|| TraceEvent::Decide { sn: 9, origin: 7 });
+        live.record_span(|| Span {
+            trace_id: 41,
+            span_id: 42,
+            parent_span: 0,
+            stage: Stage::Commit,
+            node: 7,
+            train: 0,
+            sn: 9,
+            start_ms: 0,
+            end_ms: 3,
+        });
         let dropped = Telemetry::new(8, registry, 8);
         dropped.dump_on_panic();
         drop(dropped);
         let dump = panic_dump();
         assert!(dump.contains("node 7"), "live handle missing: {dump}");
         assert!(dump.contains("\"sn\":9"), "recorded event missing: {dump}");
+        assert!(
+            dump.contains("\"trace_id\":41,\"span_id\":42"),
+            "recorded span missing: {dump}"
+        );
         assert!(
             !dump.contains("node 8"),
             "dropped handle must not dump: {dump}"
@@ -519,9 +517,9 @@ mod tests {
             end_ms: 14,
         });
         // Ring dump has the span.
-        let parsed = parse_span_jsonl(&t.span_jsonl()).unwrap();
+        let parsed = parse_jsonl(&t.dump_jsonl()).unwrap();
         assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].trace_id, 77);
+        assert_eq!(parsed[0].span().map(|s| s.trace_id), Some(77));
         // Shared store joined it.
         assert_eq!(store.assemble(77).len(), 1);
         assert_eq!(store.traces_for_sn(3), vec![77]);
@@ -545,9 +543,11 @@ mod tests {
         for sn in 0..5u64 {
             t.record_with(|| TraceEvent::Checkpoint { sn });
         }
-        let tail = t.tail(10);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].seq, 3);
-        assert_eq!(tail[1].seq, 4);
+        let kept: Vec<_> = parse_jsonl(&t.dump_jsonl())
+            .unwrap()
+            .iter()
+            .map(|record| record.field("sn").and_then(JsonValue::as_u64))
+            .collect();
+        assert_eq!(kept, [Some(3), Some(4)]);
     }
 }

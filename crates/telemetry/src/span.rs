@@ -2,18 +2,19 @@
 //! (DESIGN.md §17).
 //!
 //! A [`Span`] is one pipeline stage of one request's lifecycle on one
-//! node, timestamped from the same runtime-driven clock as the flight
-//! recorder — virtual milliseconds under the simulator, so a seeded run
-//! dumps byte-identical spans. Each span is stored once, in its node's
-//! bounded ring buffer (like the flight recorder); when the runtime
-//! wires one up, a cluster-shared [`TraceStore`] reads every node's ring
-//! and joins spans by trace id so the serving layer can assemble a whole
+//! node, timestamped from the runtime-driven trace clock — virtual
+//! milliseconds under the simulator, so a seeded run dumps
+//! byte-identical spans. Each span is stored once, in its node's trace
+//! ring next to the node's point events; when the runtime wires one up,
+//! a cluster-shared [`TraceStore`] reads every node's ring and joins
+//! spans by trace id so the serving layer can assemble a whole
 //! lifecycle.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeSet;
+use std::sync::Mutex;
 
-use crate::json::{parse_flat_object, push_field, JsonValue};
+use crate::json::JsonObject;
+use crate::recorder::SharedRing;
 
 /// The pipeline stages of a request's life, in causal order. The
 /// vocabulary is closed: stage names appear in metric labels, JSONL
@@ -77,9 +78,10 @@ impl Stage {
         }
     }
 
-    /// Position in the canonical chain order.
+    /// Position in the canonical chain order (the declaration order,
+    /// so `STAGES[stage.order()] == stage`).
     pub fn order(self) -> usize {
-        STAGES.iter().position(|s| *s == self).expect("closed enum")
+        self as usize
     }
 
     /// Parses the string form written by [`as_str`](Self::as_str).
@@ -131,123 +133,27 @@ impl Span {
 
     /// Renders this span as one flat JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for (key, value) in [
-            ("trace_id", JsonValue::U64(self.trace_id)),
-            ("span_id", JsonValue::U64(self.span_id)),
-            ("parent_span", JsonValue::U64(self.parent_span)),
-            ("stage", JsonValue::Str(self.stage.as_str().to_string())),
-            ("node", JsonValue::U64(self.node)),
-            ("train", JsonValue::U64(self.train)),
-            ("sn", JsonValue::U64(self.sn)),
-            ("start_ms", JsonValue::U64(self.start_ms)),
-            ("end_ms", JsonValue::U64(self.end_ms)),
-        ] {
-            push_field(&mut out, &mut first, key, &value);
-        }
-        out.push('}');
-        out
+        JsonObject::new()
+            .field_u64("trace_id", self.trace_id)
+            .field_u64("span_id", self.span_id)
+            .field_u64("parent_span", self.parent_span)
+            .field_str("stage", self.stage.as_str())
+            .field_u64("node", self.node)
+            .field_u64("train", self.train)
+            .field_u64("sn", self.sn)
+            .field_u64("start_ms", self.start_ms)
+            .field_u64("end_ms", self.end_ms)
+            .finish()
     }
 }
-
-/// Parses a span JSONL dump back into [`Span`]s — the inverse of
-/// concatenating [`Span::to_json`] lines.
-///
-/// # Errors
-///
-/// A message naming the first offending line.
-pub fn parse_span_jsonl(text: &str) -> Result<Vec<Span>, String> {
-    let mut spans = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields = parse_flat_object(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let get_u64 = |name: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .and_then(|(_, v)| v.as_u64())
-                .ok_or_else(|| format!("line {}: missing {name}", idx + 1))
-        };
-        let stage_str = fields
-            .iter()
-            .find(|(k, _)| k == "stage")
-            .and_then(|(_, v)| v.as_str())
-            .ok_or_else(|| format!("line {}: missing stage", idx + 1))?;
-        let stage = Stage::parse(stage_str)
-            .ok_or_else(|| format!("line {}: unknown stage {stage_str:?}", idx + 1))?;
-        spans.push(Span {
-            trace_id: get_u64("trace_id")?,
-            span_id: get_u64("span_id")?,
-            parent_span: get_u64("parent_span")?,
-            stage,
-            node: get_u64("node")?,
-            train: get_u64("train")?,
-            sn: get_u64("sn")?,
-            start_ms: get_u64("start_ms")?,
-            end_ms: get_u64("end_ms")?,
-        });
-    }
-    Ok(spans)
-}
-
-/// A fixed-capacity ring of spans, one per recording handle alongside
-/// its flight recorder: the only copy of each span, which a
-/// [`TraceStore`] reads in place.
-#[derive(Debug)]
-pub struct SpanBuffer {
-    capacity: usize,
-    spans: VecDeque<Span>,
-}
-
-impl SpanBuffer {
-    /// An empty buffer retaining at most `capacity` spans (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            spans: VecDeque::new(),
-        }
-    }
-
-    /// Appends a span, evicting the oldest when full. Returns whether a
-    /// span was evicted.
-    pub fn record(&mut self, span: Span) -> bool {
-        let evicted = self.spans.len() == self.capacity;
-        if evicted {
-            self.spans.pop_front();
-        }
-        self.spans.push_back(span);
-        evicted
-    }
-
-    /// Retained spans, oldest first.
-    pub fn spans(&self) -> impl Iterator<Item = &Span> {
-        self.spans.iter()
-    }
-
-    /// Dumps the retained spans as JSONL, oldest first.
-    pub fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for span in &self.spans {
-            out.push_str(&span.to_json());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// A span ring shared between the recording [`crate::Telemetry`]
-/// handle, its only writer, and the [`TraceStore`] that reads it.
-pub(crate) type SharedRing = Arc<Mutex<SpanBuffer>>;
 
 /// The cluster-shared join point: a read-time view over every
-/// registered span ring. A span is stored once, in its recording
-/// handle's ring, so recording takes no shared lock and retention is the
-/// ring capacity (newest spans win). Rings are held by `Arc`: a crashed
-/// or dropped node's spans stay readable while the store lives. One
-/// store per cluster/simulation, shared by `Arc` with every node.
+/// registered trace ring, reading only the spans in it. A span is stored
+/// once, in its recording handle's ring, so recording takes no shared
+/// lock and retention is the ring capacity (newest entries win). Rings
+/// are held by `Arc`: a crashed or dropped node's spans stay readable
+/// while the store lives. One store per cluster/simulation, shared by
+/// `Arc` with every node.
 #[derive(Debug, Default)]
 pub struct TraceStore {
     rings: Mutex<Vec<SharedRing>>,
@@ -269,7 +175,7 @@ impl TraceStore {
     fn select<T: Ord>(&self, pick: impl Fn(&Span) -> Option<T>) -> Vec<T> {
         let mut out = Vec::new();
         for ring in self.rings.lock().expect("trace store poisoned").iter() {
-            let ring = ring.lock().expect("span buffer poisoned");
+            let ring = ring.lock().expect("trace ring poisoned");
             out.extend(ring.spans().filter_map(&pick));
         }
         out.sort_unstable();
@@ -289,10 +195,9 @@ impl TraceStore {
 
     /// Trace ids that have a retained span carrying consensus sequence
     /// number `sn` (never 0, the sn of a not-yet-ordered span),
-    /// ascending. Invariant-violation dumps look up by sn, since that is
-    /// what a decide conflict or equivocation names. More than one id at
-    /// one sn is itself evidence: honest replicas decide exactly one
-    /// request per sn.
+    /// ascending: what `/v1/trains/<id>/trace/<sn>` serves. More than
+    /// one id at one sn is itself evidence: honest replicas decide
+    /// exactly one request per sn.
     pub fn traces_for_sn(&self, sn: u64) -> Vec<u64> {
         self.select(|span| (sn != 0 && span.sn == sn).then_some(span.trace_id))
     }
@@ -303,48 +208,6 @@ impl TraceStore {
     /// arrival interleaving nor on the order rings were registered in.
     pub fn assemble(&self, trace_id: u64) -> Vec<Span> {
         self.select(|span| (span.trace_id == trace_id).then(|| span.clone()))
-    }
-
-    /// Renders one trace as an indented span tree (one line per span,
-    /// children under their parent), preceded by a header line. The
-    /// chaos harness writes this next to the flight-recorder dump on an
-    /// invariant violation.
-    pub fn render_tree(&self, trace_id: u64) -> String {
-        let spans = self.assemble(trace_id);
-        let mut out = format!("trace {trace_id}: {} spans\n", spans.len());
-        // Roots first (parent absent from the trace), then descendants
-        // depth-first; an orphan subtree still prints under its missing
-        // parent's id so nothing is silently dropped.
-        let ids: BTreeSet<u64> = spans.iter().map(|s| s.span_id).collect();
-        let mut children: BTreeMap<u64, Vec<&Span>> = BTreeMap::new();
-        let mut roots: Vec<&Span> = Vec::new();
-        for span in &spans {
-            if span.parent_span != 0 && ids.contains(&span.parent_span) {
-                children.entry(span.parent_span).or_default().push(span);
-            } else {
-                roots.push(span);
-            }
-        }
-        fn walk(out: &mut String, span: &Span, depth: usize, children: &BTreeMap<u64, Vec<&Span>>) {
-            out.push_str(&"  ".repeat(depth));
-            out.push_str(&format!(
-                "{} node={} sn={} [{}..{}ms] span={} parent={}\n",
-                span.stage,
-                span.node,
-                span.sn,
-                span.start_ms,
-                span.end_ms,
-                span.span_id,
-                span.parent_span
-            ));
-            for child in children.get(&span.span_id).into_iter().flatten() {
-                walk(out, child, depth + 1, children);
-            }
-        }
-        for root in roots {
-            walk(&mut out, root, 0, &children);
-        }
-        out
     }
 
     /// Dumps every retained span as JSONL in canonical order (trace id,
@@ -427,6 +290,8 @@ pub fn check_chain(spans: &[Span], required: &[Stage]) -> ChainCheck {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     fn span(stage: Stage, node: u64, start: u64, end: u64) -> Span {
@@ -458,24 +323,25 @@ mod tests {
             assert_eq!(Stage::parse(stage.as_str()), Some(stage));
         }
         assert_eq!(Stage::parse("warp"), None);
-        assert_eq!(Stage::Record.order(), 0);
-        assert_eq!(Stage::Servable.order(), STAGES.len() - 1);
+        for (i, stage) in STAGES.iter().enumerate() {
+            assert_eq!(stage.order(), i, "{stage}");
+        }
     }
 
     #[test]
     fn span_json_round_trips() {
         let s = span(Stage::Decide, 2, 10, 12);
-        let parsed = parse_span_jsonl(&format!("{}\n", s.to_json())).unwrap();
-        assert_eq!(parsed, vec![s]);
+        let parsed = crate::parse_jsonl(&format!("{}\n", s.to_json())).unwrap();
+        assert_eq!(parsed, vec![crate::ParsedRecord::Span(s)]);
     }
 
     #[test]
     fn buffer_keeps_the_newest_spans() {
-        let mut buffer = SpanBuffer::new(2);
+        let mut ring = crate::recorder::TraceRing::new(2);
         for i in 0..5u64 {
-            buffer.record(span(Stage::Record, i, i, i));
+            ring.record(crate::recorder::Entry::Span(span(Stage::Record, i, i, i)));
         }
-        let kept: Vec<u64> = buffer.spans().map(|s| s.node).collect();
+        let kept: Vec<u64> = ring.spans().map(|s| s.node).collect();
         assert_eq!(kept, vec![3, 4]);
     }
 
@@ -535,17 +401,5 @@ mod tests {
             check_chain(&spans, &required),
             ChainCheck::OrphanSpan(Stage::Decide)
         );
-    }
-
-    #[test]
-    fn tree_renders_roots_and_children() {
-        let root = span(Stage::Record, 0, 1, 2);
-        let mut decide = span(Stage::Decide, 0, 5, 6);
-        decide.parent_span = root.span_id;
-        let store = store_of([root, decide]);
-        let tree = store.render_tree(7);
-        assert!(tree.starts_with("trace 7: 2 spans\n"), "{tree}");
-        assert!(tree.contains("record node=0"), "{tree}");
-        assert!(tree.contains("\n  decide node=0"), "{tree}");
     }
 }

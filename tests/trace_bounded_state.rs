@@ -1,5 +1,5 @@
 //! Bounded tracing state on the threaded runtime: a cluster that orders
-//! far more requests than its span rings hold keeps at most
+//! far more requests than its trace rings hold keeps at most
 //! `trace_capacity` spans per node in the shared `TraceStore`, counts
 //! every span it evicts, and still assembles its newest trace.
 
@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use zugchain::NodeConfig;
 use zugchain_crypto::Digest;
 use zugchain_sim::runtime::{ClusterEvent, ThreadedCluster};
-use zugchain_telemetry::{parse_span_jsonl, Stage, STAGES};
+use zugchain_telemetry::{parse_jsonl, ParsedRecord, Stage, STAGES};
 
 const NODES: usize = 4;
 const CAPACITY: usize = 64;
@@ -72,9 +72,11 @@ fn threaded_span_rings_stay_bounded_and_count_their_drops() {
     );
     for node in 0..NODES {
         let id = node.to_string();
-        let retained = parse_span_jsonl(&cluster.span_jsonl(node))
+        let retained = parse_jsonl(&cluster.trace_jsonl(node))
             .expect("ring dump parses")
-            .len() as u64;
+            .iter()
+            .filter_map(ParsedRecord::span)
+            .count() as u64;
         assert!(retained <= CAPACITY as u64);
         let dropped = registry
             .counter_value(

@@ -1,5 +1,5 @@
 //! Reference-model tests for the cluster-shared `TraceStore`, which is a
-//! read-time view over the per-node span rings.
+//! read-time view over the spans in the per-node trace rings.
 //!
 //! The oracle below is a store that keeps everything. It records a second
 //! copy of every span into a `BTreeMap` by trace id plus a `by_sn` index,
@@ -14,8 +14,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use zugchain_telemetry::{
-    parse_prometheus, parse_span_jsonl, Registry, Span, Stage, Telemetry, TraceEvent, TraceStore,
-    STAGES,
+    parse_jsonl, parse_prometheus, ParsedRecord, Registry, Span, Stage, Telemetry, TraceEvent,
+    TraceStore, STAGES,
 };
 
 /// The node id each handle records under; the last handle is derived
@@ -54,41 +54,6 @@ impl Oracle {
         spans.sort_by_key(|s| (s.stage.order(), s.node, s.start_ms, s.end_ms));
         spans.dedup();
         spans
-    }
-
-    fn render_tree(&self, trace_id: u64) -> String {
-        let spans = self.assemble(trace_id);
-        let mut out = format!("trace {trace_id}: {} spans\n", spans.len());
-        let ids: BTreeSet<u64> = spans.iter().map(|s| s.span_id).collect();
-        let mut children: BTreeMap<u64, Vec<&Span>> = BTreeMap::new();
-        let mut roots: Vec<&Span> = Vec::new();
-        for span in &spans {
-            if span.parent_span != 0 && ids.contains(&span.parent_span) {
-                children.entry(span.parent_span).or_default().push(span);
-            } else {
-                roots.push(span);
-            }
-        }
-        fn walk(out: &mut String, span: &Span, depth: usize, children: &BTreeMap<u64, Vec<&Span>>) {
-            out.push_str(&"  ".repeat(depth));
-            out.push_str(&format!(
-                "{} node={} sn={} [{}..{}ms] span={} parent={}\n",
-                span.stage,
-                span.node,
-                span.sn,
-                span.start_ms,
-                span.end_ms,
-                span.span_id,
-                span.parent_span
-            ));
-            for child in children.get(&span.span_id).into_iter().flatten() {
-                walk(out, child, depth + 1, children);
-            }
-        }
-        for root in roots {
-            walk(&mut out, root, 0, &children);
-        }
-        out
     }
 
     fn dump_jsonl(&self) -> String {
@@ -167,7 +132,6 @@ fn assert_view_matches(store: &TraceStore, oracle: &Oracle) -> Result<(), TestCa
     }
     for trace_id in 0..8 {
         prop_assert_eq!(store.assemble(trace_id), oracle.assemble(trace_id));
-        prop_assert_eq!(store.render_tree(trace_id), oracle.render_tree(trace_id));
     }
     prop_assert_eq!(store.dump_jsonl(), oracle.dump_jsonl());
     Ok(())
@@ -227,8 +191,9 @@ proptest! {
         let mut retained = Vec::new();
         for (handle, spans) in recorded.iter().enumerate() {
             let newest = &spans[spans.len().saturating_sub(capacity)..];
-            let ring = parse_span_jsonl(&handles[handle].span_jsonl()).expect("ring dump parses");
-            let expected: Vec<Span> = newest.iter().map(|(_, span)| span.clone()).collect();
+            let ring = parse_jsonl(&handles[handle].dump_jsonl()).expect("ring dump parses");
+            let expected: Vec<ParsedRecord> =
+                newest.iter().map(|(_, span)| ParsedRecord::Span(span.clone())).collect();
             prop_assert_eq!(ring, expected, "handle {} ring", handle);
             let node = HANDLE_NODES[handle].to_string();
             let mut labels = vec![("node", node.as_str()), ("ring", "span")];
@@ -289,20 +254,22 @@ proptest! {
         }
         for trace_id in 0..6 {
             prop_assert_eq!(a.assemble(trace_id), b.assemble(trace_id));
-            prop_assert_eq!(a.render_tree(trace_id), b.render_tree(trace_id));
         }
         prop_assert_eq!(a.dump_jsonl(), b.dump_jsonl());
     }
 }
 
 /// A ring of capacity c that records c + k entries drops exactly k, and
-/// `zugchain_telemetry_dropped_total` reports it per node, train and ring
-/// through the exposition parser.
+/// `zugchain_telemetry_dropped_total` reports it per node, train and kind
+/// of entry evicted (`ring="span"|"event"`) through the exposition
+/// parser.
 #[test]
 fn ring_evictions_are_counted_and_exposed() {
     let registry = Arc::new(Registry::new());
     let t = Telemetry::new(4, Arc::clone(&registry), 3).for_train(6);
-    // Capacity 3: five spans drop two, seven events drop four.
+    // Capacity 3, one ring for both kinds: the five spans fill it and
+    // overflow by two, then the seven events evict the three remaining
+    // spans and four of their own. Five spans and four events dropped.
     let span = Span {
         trace_id: 1,
         stage: Stage::Decide,
@@ -317,7 +284,7 @@ fn ring_evictions_are_counted_and_exposed() {
     (0..5).for_each(|_| t.record_span(|| span.clone()));
     (0..7).for_each(|sn| t.record_with(|| TraceEvent::Checkpoint { sn }));
     let parsed = parse_prometheus(&registry.render_prometheus()).expect("exposition parses");
-    for (ring, dropped) in [("span", 2.0), ("event", 4.0)] {
+    for (ring, dropped) in [("span", 5.0), ("event", 4.0)] {
         let labels =
             [("node", "4"), ("ring", ring), ("train", "6")].map(|(k, v)| (k.into(), v.into()));
         let sample = parsed
