@@ -689,6 +689,12 @@ impl Archive {
         self.resolve(self.index.in_time_range(from_ms, to_ms))
     }
 
+    /// Whether any archived request falls in `[from_ms, to_ms]`, at the
+    /// time the index gives it (decoded request time, else block time).
+    pub(crate) fn has_records_in(&self, from_ms: u64, to_ms: u64) -> bool {
+        self.index.any_in_time_range(from_ms, to_ms)
+    }
+
     /// Like [`requests_in`](Self::requests_in), restricted to requests
     /// carrying at least one event of one of `kinds`.
     pub fn requests_of_kinds(

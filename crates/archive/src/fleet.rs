@@ -1,6 +1,5 @@
 //! Fleet-scale sharded archive: one juridical [`Archive`] per train,
-//! ingesting concurrently, plus a cross-train index for fleet-wide
-//! time-range queries.
+//! ingesting concurrently, answering fleet-wide time-range queries.
 //!
 //! # Sharding
 //!
@@ -9,19 +8,18 @@
 //! independent — different replica keysets, different heights, different
 //! heads — so the fleet archive stores them in independent *shards*: one
 //! [`Archive`] per registered train, each holding its own lock. Ingest
-//! from train A never contends with ingest from train B. On disk each shard lives under
-//! `root/trains/<id>/` with its own segment files and index summary, so
+//! from train A never contends with ingest from train B. On disk each
+//! shard lives under `root/trains/<id>/` with its own segment files, so
 //! crash recovery runs per train and one corrupted shard cannot take
 //! down another's data.
 //!
-//! # Cross-train index
+//! # Fleet-wide queries
 //!
-//! Fleet-wide queries ("what did every vehicle record between t₀ and
-//! t₁?") go through a small cross index `(time_ms, train, sn) → height`
-//! maintained at ingest and rebuilt from the shards at registration. The
-//! index only *routes* — it answers which trains hold records in a range
-//! — and the shards then serve the actual blocks under their own read
-//! locks, so a routed query never blocks unrelated ingest.
+//! A fleet-wide query ("what did every vehicle record between t₀ and
+//! t₁?") is routed to the trains that hold records in the range by one
+//! range probe into each shard's own time index, under that shard's
+//! read lock; the matching shards then serve the records. The fleet
+//! keeps no index of its own, so ingest touches only its train's shard.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -49,12 +47,10 @@ struct FleetInner {
     /// shard (reads) or register a train (writes) — never across an
     /// ingest or query.
     shards: RwLock<BTreeMap<TrainId, Arc<Shard>>>,
-    /// `(time_ms, train, sn) → height` across the whole fleet.
-    cross: RwLock<BTreeMap<(u64, TrainId, u64), u64>>,
     telemetry: RwLock<zugchain_telemetry::Telemetry>,
 }
 
-/// The fleet archive: per-train shards plus the cross-train index.
+/// The fleet archive: one shard per train.
 /// Cloning is cheap (an `Arc` bump); clones share all state, so one
 /// handle per ingest thread is the intended usage.
 #[derive(Clone)]
@@ -103,7 +99,6 @@ impl FleetArchive {
                 root,
                 quorum,
                 shards: RwLock::new(BTreeMap::new()),
-                cross: RwLock::new(BTreeMap::new()),
                 telemetry: RwLock::new(zugchain_telemetry::Telemetry::disabled()),
             }),
         }
@@ -145,25 +140,12 @@ impl FleetArchive {
             }
         }
 
-        // Recovered blocks join the cross index before the shard becomes
-        // visible, so a fleet query never sees a half-indexed train.
-        let mut recovered = Vec::new();
-        for block in archive.blocks() {
-            index_block_into(&mut recovered, train, block);
-        }
-
         let mut shards = write(&self.inner.shards);
         if shards.contains_key(&train) {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!("train {train} is already registered"),
             ));
-        }
-        {
-            let mut cross = write(&self.inner.cross);
-            for (key, height) in recovered {
-                cross.insert(key, height);
-            }
         }
         shards.insert(
             train,
@@ -181,9 +163,8 @@ impl FleetArchive {
     /// Verifies and ingests one certified segment into its origin
     /// train's shard, returning the shard-local sequence number.
     ///
-    /// Only that train's shard lock is held; segments of different trains verify and persist fully in
-    /// parallel. The cross index is updated in a short critical section
-    /// after the shard commits.
+    /// Only that train's shard lock is held, so segments of different
+    /// trains verify, persist and index fully in parallel.
     ///
     /// # Errors
     ///
@@ -196,15 +177,6 @@ impl FleetArchive {
                 train: certified.train,
             })?;
         let seq = write(&shard.archive).ingest(certified)?;
-
-        let mut entries = Vec::new();
-        for block in &certified.blocks {
-            index_block_into(&mut entries, certified.train, block);
-        }
-        let mut cross = write(&self.inner.cross);
-        for (key, height) in entries {
-            cross.insert(key, height);
-        }
         Ok(seq)
     }
 
@@ -234,9 +206,13 @@ impl FleetArchive {
             .sum()
     }
 
-    /// Total cross-indexed requests across the fleet.
+    /// Total archived requests across every shard.
     pub fn request_count(&self) -> usize {
-        read(&self.inner.cross).len()
+        let shards = read(&self.inner.shards);
+        shards
+            .values()
+            .map(|s| read(&s.archive).request_count())
+            .sum()
     }
 
     /// Runs a closure against one train's archive under its read lock —
@@ -249,17 +225,16 @@ impl FleetArchive {
     }
 
     /// Trains holding at least one record in `[from_ms, to_ms]`,
-    /// ascending — the cross index routing a fleet-wide query to only
-    /// the shards that matter.
+    /// ascending — routing a fleet-wide query to only the shards that
+    /// matter. Each shard answers from its own time index, so a record
+    /// counts at the time that index gives it.
     pub fn trains_in(&self, from_ms: u64, to_ms: u64) -> Vec<TrainId> {
-        let cross = read(&self.inner.cross);
-        let mut trains: Vec<TrainId> = cross
-            .range((from_ms, TrainId(0), 0)..=(to_ms, TrainId(u64::MAX), u64::MAX))
-            .map(|(&(_, train, _), _)| train)
-            .collect();
-        trains.sort_unstable();
-        trains.dedup();
-        trains
+        let shards = read(&self.inner.shards);
+        shards
+            .iter()
+            .filter(|(_, s)| read(&s.archive).has_records_in(from_ms, to_ms))
+            .map(|(&train, _)| train)
+            .collect()
     }
 
     /// Fleet-wide time-range query: every decodable signal request in
@@ -295,23 +270,5 @@ impl FleetArchive {
     /// Builds a court-ready [`AuditBundle`] from one train's shard.
     pub fn audit_bundle(&self, train: TrainId, height: u64) -> Option<AuditBundle> {
         self.with_shard(train, |a| a.audit_bundle(height))?
-    }
-}
-
-/// Mirrors [`crate::ArchiveIndex::index_block`]'s time attribution for
-/// the cross index: decoded request time when the payload parses as a
-/// [`Request`], the block timestamp otherwise.
-fn index_block_into(
-    out: &mut Vec<((u64, TrainId, u64), u64)>,
-    train: TrainId,
-    block: &zugchain_blockchain::Block,
-) {
-    let height = block.height();
-    for request in &block.requests {
-        let time_ms = match zugchain_wire::from_bytes::<Request>(&request.payload) {
-            Ok(decoded) => decoded.time_ms,
-            Err(_) => block.header.time_ms,
-        };
-        out.push(((time_ms, train, request.sn), height));
     }
 }

@@ -132,6 +132,15 @@ impl ArchiveIndex {
             .collect()
     }
 
+    /// Whether any request has `from_ms <= time_ms <= to_ms` — one range
+    /// probe, nothing collected.
+    pub(crate) fn any_in_time_range(&self, from_ms: u64, to_ms: u64) -> bool {
+        self.by_time
+            .range((from_ms, 0)..=(to_ms, u64::MAX))
+            .next()
+            .is_some()
+    }
+
     /// Like [`in_time_range`](Self::in_time_range) but restricted to
     /// requests containing at least one event of one of `kinds`.
     /// Results are deduplicated and in (time, sn) order.

@@ -1,15 +1,18 @@
 //! Fleet-archive integration: per-train shards ingest independently,
 //! cross-train contamination is refused at every boundary (ingest,
-//! recovery, audit), and fleet-wide queries route through the cross
-//! index.
+//! recovery, audit), and fleet-wide queries route to exactly the shards
+//! with records in the window, by each shard's own time index.
 
 mod common;
 
 use zugchain_archive::{FleetArchive, IngestError};
-use zugchain_crypto::Keystore;
+use zugchain_blockchain::{Block, BlockBuilder, LoggedRequest};
+use zugchain_crypto::{KeyPair, Keystore};
+use zugchain_export::CertifiedSegment;
+use zugchain_signals::{Request, SignalValue};
 use zugchain_wire::TrainId;
 
-use common::{certified_chain_for_train, keys, QUORUM};
+use common::{certified_chain_for_train, certify, keys, signal_payload, QUORUM};
 
 #[test]
 fn shards_ingest_and_query_independently() {
@@ -141,7 +144,7 @@ fn durable_shards_recover_independently() {
     assert!(report_2.segments_discarded.is_empty());
     assert_eq!(fleet.segment_count_of(TrainId(1)), 1);
     assert_eq!(fleet.segment_count_of(TrainId(2)), 2);
-    // The cross index reflects only recovered records.
+    // The fleet's request count reflects only recovered records.
     assert_eq!(fleet.request_count(), 6 + 12);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -192,4 +195,137 @@ fn fleet_audit_bundles_verify_per_train_only() {
     // Another train's keyset never vouches for this bundle.
     assert!(bundle.verify(&foreign_keys, QUORUM).is_err());
     assert!(fleet.audit_bundle(TrainId(8), 2).is_none());
+}
+
+/// Block time of every block of a decodable train in
+/// [`windowed_segment`]: later than every window the routing test asks
+/// about, so only the decoded request time can route those trains.
+const FAR_MS: u64 = 1_000_000;
+
+/// One certified segment for `train`, off genesis: two blocks of two
+/// requests, request `sn` (1..=4) at `t0 + 100 × sn`. A decodable train
+/// carries that time in its signal payloads; an undecodable one carries
+/// junk payloads, and each of its blocks carries the time of the request
+/// that completed it, so its records count at block time.
+fn windowed_segment(
+    train: TrainId,
+    pairs: &[KeyPair],
+    t0: u64,
+    decodable: bool,
+) -> CertifiedSegment {
+    let mut builder = BlockBuilder::new(2);
+    let mut blocks = Vec::new();
+    for sn in 1..=4u64 {
+        let time_ms = t0 + 100 * sn;
+        let (payload, block_ms) = if decodable {
+            let payload = signal_payload(sn, time_ms, "v_actual", SignalValue::U16(sn as u16));
+            (payload, FAR_MS)
+        } else {
+            let junk = vec![0xFF; 3];
+            assert!(zugchain_wire::from_bytes::<Request>(&junk).is_err());
+            (junk, time_ms)
+        };
+        let request = LoggedRequest {
+            sn,
+            origin: sn % 4,
+            payload,
+        };
+        blocks.extend(builder.push(request, block_ms));
+    }
+    let genesis = Block::genesis();
+    CertifiedSegment {
+        train,
+        base_height: genesis.height(),
+        base_hash: genesis.hash(),
+        proof: certify(pairs, 4, blocks.last().expect("two blocks")),
+        blocks,
+    }
+}
+
+/// Trains 1 and 2 record decodable requests at 1100–1400 and 2100–2400;
+/// train 3's undecodable requests count at its block times, 3200 and
+/// 3400.
+fn ingest_windowed_trains(fleet: &FleetArchive, pairs: &[KeyPair], keystore: &Keystore) {
+    for (train, t0, decodable) in [(1, 1000, true), (2, 2000, true), (3, 3000, false)] {
+        let train = TrainId(train);
+        fleet.register_train(train, keystore.clone()).unwrap();
+        fleet
+            .ingest(&windowed_segment(train, pairs, t0, decodable))
+            .unwrap();
+    }
+}
+
+/// Checks fleet routing over partial windows: `(from, to)`, the trains
+/// routed, the `(train, sn)` requests and each timeline's speed profile.
+fn assert_partial_window_routing(fleet: &FleetArchive) {
+    type Speeds = Vec<(u64, u16)>;
+    type Case<'a> = ((u64, u64), &'a [u64], &'a [(u64, u64)], &'a [(u64, Speeds)]);
+    let cases: [Case; 6] = [
+        // Touches only train 1's last record, with both bounds inclusive.
+        ((1400, 2099), &[1], &[(1, 4)], &[(1, vec![(1400, 4)])]),
+        // Spans trains 1 and 2.
+        (
+            (1300, 2200),
+            &[1, 2],
+            &[(1, 3), (1, 4), (2, 1), (2, 2)],
+            &[
+                (1, vec![(1300, 3), (1400, 4)]),
+                (2, vec![(2100, 1), (2200, 2)]),
+            ],
+        ),
+        // Train 3 routes by block time; its payloads yield no requests.
+        (
+            (2400, 3200),
+            &[2, 3],
+            &[(2, 4)],
+            &[(2, vec![(2400, 4)]), (3, vec![])],
+        ),
+        ((3400, 3400), &[3], &[], &[(3, vec![])]),
+        // Empty: between trains 1 and 2, and between train 3's blocks.
+        ((1401, 2099), &[], &[], &[]),
+        ((3201, 3399), &[], &[], &[]),
+    ];
+    for ((from, to), trains, requests, timelines) in cases {
+        let window = format!("[{from}, {to}]");
+        let routed: Vec<u64> = fleet.trains_in(from, to).iter().map(|t| t.0).collect();
+        assert_eq!(routed, trains, "trains_in {window}");
+        let found: Vec<(u64, u64)> = fleet
+            .requests_in(from, to)
+            .iter()
+            .map(|(train, sn, ..)| (train.0, *sn))
+            .collect();
+        assert_eq!(found, requests, "requests_in {window}");
+        let profiles: Vec<(u64, Speeds)> = fleet
+            .timelines_in(from, to)
+            .iter()
+            .map(|(train, timeline)| (train.0, timeline.speed_profile().to_vec()))
+            .collect();
+        assert_eq!(profiles, timelines, "timelines_in {window}");
+    }
+    assert_eq!(fleet.request_count(), 3 * 4);
+}
+
+#[test]
+fn partial_windows_route_to_exactly_the_trains_with_records() {
+    let (pairs, keystore) = keys();
+    let fleet = FleetArchive::in_memory(QUORUM);
+    ingest_windowed_trains(&fleet, &pairs, &keystore);
+    assert_partial_window_routing(&fleet);
+
+    let dir = std::env::temp_dir().join(format!("zugchain-fleet-windows-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let fleet = FleetArchive::open(&dir, QUORUM).unwrap();
+        ingest_windowed_trains(&fleet, &pairs, &keystore);
+        assert_partial_window_routing(&fleet);
+    }
+    let reopened = FleetArchive::open(&dir, QUORUM).unwrap();
+    for train in 1..=3 {
+        let report = reopened
+            .register_train(TrainId(train), keystore.clone())
+            .unwrap();
+        assert_eq!(report.segments_recovered, 1);
+    }
+    assert_partial_window_routing(&reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -219,8 +219,9 @@ fn bench_audit_bundle(c: &mut Criterion) {
 }
 
 /// Sharded fleet ingest: one thread per train, each draining its train's
-/// pre-certified segments into a shared [`FleetArchive`]. The only
-/// contention is the brief cross-index update.
+/// pre-certified segments into a shared [`FleetArchive`]. Ingest takes
+/// only its train's shard lock, so the only contention is the brief
+/// read-locked shard lookup.
 fn bench_fleet_ingest(c: &mut Criterion) {
     let (pairs, keystore) = Keystore::generate(4, 7);
     let mut group = c.benchmark_group("archive/fleet_ingest");

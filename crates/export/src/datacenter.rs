@@ -1,4 +1,4 @@
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use zugchain_blockchain::{verify_chain, Block};
 use zugchain_crypto::{Digest, KeyPair, Keystore};
@@ -23,7 +23,8 @@ struct DcMetrics {
     /// `zugchain_export_certified_segments_total`: checkpoint-certified
     /// segments adopted (from the train or via DC sync).
     certified_segments: Counter,
-    /// `zugchain_export_blocks_total`: blocks adopted into the archive.
+    /// `zugchain_export_blocks_total`: blocks in adopted certified
+    /// segments.
     blocks: Counter,
     /// `zugchain_export_range_fetches_total`: second-round block-range
     /// fetches — each one is a retry against the best-checkpoint replica.
@@ -32,7 +33,7 @@ struct DcMetrics {
     /// adopting blocks (empty, stale, or corrupt segment); the caller
     /// retries with a different block source.
     failed_rounds: Counter,
-    /// `zugchain_export_archive_height`: height of the newest archived
+    /// `zugchain_export_archive_height`: height of the newest verified
     /// block.
     archive_height: Gauge,
 }
@@ -153,7 +154,10 @@ struct Round {
 }
 
 /// A railway company's private data center: drives the export protocol
-/// and maintains a verified archive of the full blockchain.
+/// and keeps only the head of the chain it has verified. Each adopted
+/// segment is handed to the juridical archive through
+/// [`drain_certified_segments`](Self::drain_certified_segments); the
+/// archive, not this machine, stores the blocks.
 ///
 /// # Examples
 ///
@@ -167,14 +171,15 @@ pub struct DataCenter {
     replica_keystore: Keystore,
     /// Signature quorum for checkpoint proofs (2f+1 replicas).
     proof_quorum: usize,
-    /// The archive: every exported block, oldest first, chaining from
-    /// genesis.
-    archive: Vec<Block>,
+    /// Height and hash of the newest verified block: every adopted
+    /// segment must chain onto them.
     last_height: u64,
     last_hash: Digest,
     round: Option<Round>,
-    /// Acks per delete command: set of acknowledging replicas.
-    acks: HashMap<(u64, Digest), BTreeSet<u64>>,
+    /// Replicas that acknowledged the delete of the current head. Acks
+    /// for any other delete are dropped, so this never outgrows the
+    /// replica group.
+    acks: BTreeSet<u64>,
     /// Certified segments adopted since the last
     /// [`drain_certified_segments`](Self::drain_certified_segments) call.
     certified: Vec<CertifiedSegment>,
@@ -183,7 +188,7 @@ pub struct DataCenter {
 }
 
 impl DataCenter {
-    /// Creates a data center with an empty archive (genesis only).
+    /// Creates a data center whose verified head is genesis.
     pub fn new(
         config: DcConfig,
         key: KeyPair,
@@ -198,9 +203,8 @@ impl DataCenter {
             proof_quorum,
             last_height: genesis.height(),
             last_hash: genesis.hash(),
-            archive: vec![genesis],
             round: None,
-            acks: HashMap::new(),
+            acks: BTreeSet::new(),
             certified: Vec::new(),
             metrics: DcMetrics::default(),
             telemetry: Telemetry::disabled(),
@@ -226,25 +230,25 @@ impl DataCenter {
         self.config.train
     }
 
-    /// Height of the newest archived block.
+    /// Height of the newest verified block.
     pub fn archive_height(&self) -> u64 {
         self.last_height
     }
 
-    /// The archived blocks, oldest first (starting at genesis).
-    pub fn archive(&self) -> &[Block] {
-        &self.archive
+    /// Hash of the newest verified block: the `prev_hash` the next
+    /// adopted segment must start from.
+    pub fn archive_hash(&self) -> Digest {
+        self.last_hash
     }
 
-    /// Verifies the whole archive chain — the externally checkable
-    /// integrity property of blockchain-based logging.
-    pub fn verify_archive(&self) -> bool {
-        verify_chain(&self.archive, None).is_ok()
-    }
-
-    /// Number of replicas that acknowledged the delete for `height`.
+    /// Number of replicas that acknowledged the delete for
+    /// `(height, hash)`; only the current head's delete is counted.
     pub fn acks_for(&self, height: u64, hash: Digest) -> usize {
-        self.acks.get(&(height, hash)).map_or(0, BTreeSet::len)
+        if (height, hash) == (self.last_height, self.last_hash) {
+            self.acks.len()
+        } else {
+            0
+        }
     }
 
     /// Returns `true` while an export round is in flight.
@@ -332,7 +336,7 @@ impl DataCenter {
         if !proof.verify(&self.replica_keystore, self.proof_quorum) {
             return Vec::new();
         }
-        // Keep only blocks beyond our archive and check they extend it.
+        // Keep only blocks beyond our head and check they extend it.
         let new_blocks: Vec<Block> = blocks
             .into_iter()
             .filter(|b| b.height() > self.last_height)
@@ -349,20 +353,11 @@ impl DataCenter {
         if last.hash() != proof.checkpoint.state_digest {
             return Vec::new();
         }
-        self.metrics.certified_segments.inc();
-        self.metrics.blocks.add(new_blocks.len() as u64);
-        self.certified.push(CertifiedSegment {
-            train,
-            base_height: self.last_height,
-            base_hash: self.last_hash,
-            blocks: new_blocks.clone(),
-            proof: proof.clone(),
-        });
-        self.adopt(new_blocks);
-        self.metrics.archive_height.set(self.last_height as i64);
+        self.adopt(new_blocks, proof);
         // Step ⑤: "the data centers each sign a delete message" — having
-        // verified and stored the blocks, this data center adds its own
-        // signature so the replicas' delete quorum can form.
+        // verified the blocks and queued them for its archive, this data
+        // center adds its own signature so the replicas' delete quorum
+        // can form.
         let cmd = DeleteCmd {
             height: self.last_height,
             hash: self.last_hash,
@@ -374,21 +369,34 @@ impl DataCenter {
     }
 
     fn on_ack(&mut self, ack: SignedAck) {
-        if !ack.verify(&self.replica_keystore) {
+        if (ack.cmd.height, ack.cmd.hash) != (self.last_height, self.last_hash)
+            || !ack.verify(&self.replica_keystore)
+        {
             return;
         }
-        self.acks
-            .entry((ack.cmd.height, ack.cmd.hash))
-            .or_default()
-            .insert(ack.node.0);
+        self.acks.insert(ack.node.0);
     }
 
-    fn adopt(&mut self, blocks: Vec<Block>) {
-        for block in blocks {
-            self.last_height = block.height();
-            self.last_hash = block.hash();
-            self.archive.push(block);
-        }
+    /// Queues `blocks` as a certified segment and moves the head to its
+    /// last block. The caller has verified that `blocks` chain onto the
+    /// current head and that `proof` certifies the last block, so the
+    /// head hash is the certified digest and nothing is hashed again.
+    fn adopt(&mut self, blocks: Vec<Block>, proof: CheckpointProof) {
+        let head_height = blocks.last().expect("nonempty").height();
+        let head_hash = proof.checkpoint.state_digest;
+        self.metrics.certified_segments.inc();
+        self.metrics.blocks.add(blocks.len() as u64);
+        self.certified.push(CertifiedSegment {
+            train: self.config.train,
+            base_height: self.last_height,
+            base_hash: self.last_hash,
+            blocks,
+            proof,
+        });
+        self.last_height = head_height;
+        self.last_hash = head_hash;
+        self.acks.clear();
+        self.metrics.archive_height.set(head_height as i64);
     }
 
     /// Emits one `export` span per logged request of a certified
@@ -547,18 +555,8 @@ impl DataCenter {
 
         let exported = segment.len();
         let proof = best.proof.clone().expect("verified above");
-        self.metrics.certified_segments.inc();
-        self.metrics.blocks.add(exported as u64);
         self.trace_export_spans(&segment);
-        self.certified.push(CertifiedSegment {
-            train: self.config.train,
-            base_height: self.last_height,
-            base_hash: self.last_hash,
-            blocks: segment.clone(),
-            proof: proof.clone(),
-        });
-        self.adopt(segment);
-        self.metrics.archive_height.set(self.last_height as i64);
+        self.adopt(segment, proof);
         self.telemetry
             .record_with(|| zugchain_telemetry::TraceEvent::ExportRound {
                 blocks: exported as u64,
@@ -566,14 +564,16 @@ impl DataCenter {
         self.round = None;
 
         let mut actions = Vec::new();
-        // Step ③: synchronize with the other companies' data centers.
-        for peer in self.config.peers.clone() {
+        // Step ③: synchronize with the other companies' data centers,
+        // shipping the segment just adopted.
+        let adopted = self.certified.last().expect("adopted above");
+        for &peer in &self.config.peers {
             actions.push(Effect::Send {
                 to: DcAddr::DataCenter(peer),
                 message: ExportMessage::DcSync {
                     train: self.config.train,
-                    proof: proof.clone(),
-                    blocks: self.archive[self.archive.len() - exported..].to_vec(),
+                    proof: adopted.proof.clone(),
+                    blocks: adopted.blocks.clone(),
                 },
             });
         }
@@ -676,12 +676,79 @@ mod tests {
         (dc, chain(4), replica_pairs)
     }
 
+    /// Data center 1, the peer of [`setup`]'s data center 0.
+    fn peer_dc() -> DataCenter {
+        let (dc_pairs, _) = Keystore::generate(2, 40);
+        let (_, replica_keystore) = Keystore::generate(4, 30);
+        DataCenter::new(
+            DcConfig {
+                id: DcId(1),
+                train: TrainId::DEFAULT,
+                n_replicas: 4,
+                replica_quorum: 3,
+                peers: vec![DcId(0)],
+            },
+            dc_pairs[1].clone(),
+            replica_keystore,
+            3,
+        )
+    }
+
     fn checkpoint_reply(block: &Block, pairs: &[zugchain_crypto::KeyPair]) -> ExportMessage {
         ExportMessage::Checkpoint(CheckpointReply {
             proof: Some(proof_for(block, pairs)),
             block_height: block.height(),
             block_hash: block.hash(),
         })
+    }
+
+    /// Runs one export round in which replica 0 sends `blocks` and
+    /// replicas 0–2 certify the last of them; returns the effects of the
+    /// finalizing reply.
+    fn export_round(
+        dc: &mut DataCenter,
+        blocks: &[Block],
+        pairs: &[zugchain_crypto::KeyPair],
+    ) -> Vec<DcEffect> {
+        let head = blocks.last().expect("nonempty");
+        dc.begin_export(NodeId(0));
+        dc.on_replica_message(
+            NodeId(0),
+            ExportMessage::Blocks {
+                blocks: blocks.to_vec(),
+            },
+        );
+        dc.on_replica_message(NodeId(0), checkpoint_reply(head, pairs));
+        dc.on_replica_message(NodeId(1), checkpoint_reply(head, pairs));
+        dc.on_replica_message(NodeId(2), checkpoint_reply(head, pairs))
+    }
+
+    /// The delete a finalizing round broadcast.
+    fn delete_of(actions: &[DcEffect]) -> DeleteCmd {
+        actions
+            .iter()
+            .find_map(|a| match a {
+                Effect::Broadcast {
+                    message: ExportMessage::Delete(d),
+                } => Some(d.cmd),
+                _ => None,
+            })
+            .expect("delete issued")
+    }
+
+    /// Acks `cmd` from replicas `ids`.
+    fn ack(dc: &mut DataCenter, cmd: DeleteCmd, ids: std::ops::Range<u64>) {
+        let (replica_pairs, _) = Keystore::generate(4, 30);
+        for id in ids {
+            dc.on_replica_message(
+                NodeId(id),
+                ExportMessage::Ack(SignedAck::sign(
+                    cmd,
+                    NodeId(id),
+                    &replica_pairs[id as usize],
+                )),
+            );
+        }
     }
 
     #[test]
@@ -708,24 +775,34 @@ mod tests {
         let actions = dc.on_replica_message(NodeId(2), checkpoint_reply(&blocks[2], &pairs));
 
         assert_eq!(dc.archive_height(), 4);
-        assert!(dc.verify_archive());
-        // Sync to the peer + delete broadcast + completion.
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            Effect::Send {
-                to: DcAddr::DataCenter(DcId(1)),
-                message: ExportMessage::DcSync { .. }
-            }
-        )));
-        let delete = actions.iter().find_map(|a| match a {
-            Effect::Broadcast {
-                message: ExportMessage::Delete(d),
-            } => Some(d.clone()),
-            _ => None,
-        });
-        let delete = delete.expect("delete issued");
-        assert_eq!(delete.cmd.height, 4);
-        assert_eq!(delete.cmd.hash, blocks[3].hash());
+        assert_eq!(dc.archive_hash(), blocks[3].hash());
+        let segments = dc.drain_certified_segments();
+        assert_eq!(segments.len(), 1);
+        let segment = &segments[0];
+        assert_eq!(
+            verify_chain(&segment.blocks, Some(Block::genesis().hash())),
+            Ok(())
+        );
+        // Sync to the peer, carrying exactly the segment's blocks.
+        let sync = actions
+            .iter()
+            .find_map(|a| match a {
+                Effect::Send {
+                    to: DcAddr::DataCenter(DcId(1)),
+                    message: message @ ExportMessage::DcSync { blocks, .. },
+                } => Some((message.clone(), blocks)),
+                _ => None,
+            })
+            .expect("sync sent to the peer");
+        assert_eq!(sync.1, &segment.blocks);
+        // A peer fed that sync queues the identical certified segment.
+        let mut peer = peer_dc();
+        peer.on_dc_sync(sync.0);
+        assert_eq!(peer.drain_certified_segments(), segments);
+        // Delete broadcast + completion.
+        let delete = delete_of(&actions);
+        assert_eq!(delete.height, 4);
+        assert_eq!(delete.hash, blocks[3].hash());
         assert!(actions.iter().any(|a| matches!(
             a,
             Effect::Output(ExportOutcome {
@@ -734,6 +811,38 @@ mod tests {
                 delete_issued: true
             })
         )));
+    }
+
+    #[test]
+    fn a_finalizing_round_hashes_one_chain_pass_plus_the_head_check() {
+        let (mut dc, blocks, pairs) = setup();
+        dc.begin_export(NodeId(0));
+        dc.on_replica_message(
+            NodeId(0),
+            ExportMessage::Blocks {
+                blocks: blocks.clone(),
+            },
+        );
+        dc.on_replica_message(NodeId(0), checkpoint_reply(&blocks[3], &pairs));
+        dc.on_replica_message(NodeId(1), checkpoint_reply(&blocks[3], &pairs));
+        let last = checkpoint_reply(&blocks[3], &pairs);
+        let before = zugchain_crypto::bytes_hashed();
+        dc.on_replica_message(NodeId(2), last);
+        let round = zugchain_crypto::bytes_hashed() - before;
+        assert_eq!(dc.archive_height(), 4);
+
+        // The round hashes each new block's encoded requests (51 bytes)
+        // and its header (96 bytes) once, in `verify_chain` from the old
+        // head, plus the head block's header once more to match it
+        // against the certified digest: 4 × (51 + 96) + 96 = 684 bytes.
+        // The head it adopts is that certified digest; re-hashing every
+        // adopted header would add another 4 × 96.
+        let genesis = Block::genesis().hash();
+        let before = zugchain_crypto::bytes_hashed();
+        verify_chain(&blocks, Some(genesis)).unwrap();
+        blocks[3].hash();
+        assert_eq!(round, zugchain_crypto::bytes_hashed() - before);
+        assert_eq!(round, 4 * (51 + 96) + 96);
     }
 
     #[test]
@@ -873,27 +982,17 @@ mod tests {
     #[test]
     fn dc_sync_lets_a_late_data_center_catch_up() {
         let (_, blocks, pairs) = setup();
-        let (dc_pairs, _) = Keystore::generate(2, 40);
-        let (_, replica_keystore) = Keystore::generate(4, 30);
-        let mut late = DataCenter::new(
-            DcConfig {
-                id: DcId(1),
-                train: TrainId::DEFAULT,
-                n_replicas: 4,
-                replica_quorum: 3,
-                peers: vec![DcId(0)],
-            },
-            dc_pairs[1].clone(),
-            replica_keystore,
-            3,
-        );
+        let mut late = peer_dc();
         late.on_dc_sync(ExportMessage::DcSync {
             train: TrainId::DEFAULT,
             proof: proof_for(&blocks[3], &pairs),
             blocks: blocks.clone(),
         });
         assert_eq!(late.archive_height(), 4);
-        assert!(late.verify_archive());
+        assert_eq!(late.archive_hash(), blocks[3].hash());
+        let segments = late.drain_certified_segments();
+        assert_eq!(segments.len(), 1);
+        assert_eq!(segments[0].blocks, blocks);
     }
 
     #[test]
@@ -923,28 +1022,29 @@ mod tests {
 
     #[test]
     fn acks_are_counted_per_replica() {
-        let (mut dc, blocks, _) = setup();
-        let (replica_pairs, _) = Keystore::generate(4, 30);
-        let cmd = DeleteCmd {
-            height: 4,
-            hash: blocks[3].hash(),
-        };
-        for id in 0..3u64 {
-            dc.on_replica_message(
-                NodeId(id),
-                ExportMessage::Ack(SignedAck::sign(
-                    cmd,
-                    NodeId(id),
-                    &replica_pairs[id as usize],
-                )),
-            );
-        }
+        let (mut dc, blocks, pairs) = setup();
+        let cmd = delete_of(&export_round(&mut dc, &blocks, &pairs));
+        ack(&mut dc, cmd, 0..3);
         // A duplicate does not double count.
-        dc.on_replica_message(
-            NodeId(0),
-            ExportMessage::Ack(SignedAck::sign(cmd, NodeId(0), &replica_pairs[0])),
-        );
+        ack(&mut dc, cmd, 0..1);
         assert_eq!(dc.acks_for(4, blocks[3].hash()), 3);
+    }
+
+    #[test]
+    fn only_the_current_heads_delete_keeps_acks() {
+        let (mut dc, blocks, pairs) = setup();
+        let first = delete_of(&export_round(&mut dc, &blocks[..2], &pairs));
+        ack(&mut dc, first, 0..4);
+        assert_eq!(dc.acks_for(first.height, first.hash), 4);
+
+        let latest = delete_of(&export_round(&mut dc, &blocks[2..], &pairs));
+        assert_eq!(latest.height, 4);
+        // The older delete's acks are gone, and a late one is dropped.
+        assert_eq!(dc.acks_for(first.height, first.hash), 0);
+        ack(&mut dc, first, 0..1);
+        assert_eq!(dc.acks_for(first.height, first.hash), 0);
+        ack(&mut dc, latest, 0..4);
+        assert_eq!(dc.acks_for(latest.height, latest.hash), 4);
     }
 
     #[test]
@@ -997,7 +1097,10 @@ mod tests {
         let actions = dc.on_replica_message(NodeId(3), checkpoint_reply(&blocks[1], &pairs));
         assert!(actions.is_empty());
         assert_eq!(dc.archive_height(), 4);
-        assert!(dc.verify_archive());
+        assert_eq!(dc.archive_hash(), blocks[3].hash());
+        let segments = dc.drain_certified_segments();
+        assert_eq!(segments.len(), 1);
+        assert_eq!(segments[0].blocks, blocks);
     }
 
     #[test]

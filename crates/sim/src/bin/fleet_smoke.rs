@@ -11,8 +11,9 @@
 //! * prints one machine-readable `fleet-train:` line per train with the
 //!   decided vs archived head comparison, and one `fleet-metric:` line
 //!   per train carrying the registry's per-train
-//!   `zugchain_archive_segments_total` so CI can cross-check the
-//!   telemetry against the run report;
+//!   `zugchain_archive_segments_total` (the default run's cross-check
+//!   of these against the run report is also the tier-1 test
+//!   `crates/sim/tests/fleet_smoke.rs`);
 //! * writes the Prometheus exposition to `DIR/metrics.prom` (round-trip
 //!   parsed first), audit bundles from the first three trains to
 //!   `DIR/train-<id>-head.zab`, and each of those trains' replica key

@@ -91,7 +91,7 @@ pub struct FleetOutcome {
     pub trains: Vec<TrainReport>,
     /// Each train's replica public keys (for `zugchain-audit`).
     pub keystores: Vec<(TrainId, Keystore)>,
-    /// Total requests cross-indexed fleet-wide.
+    /// Total archived requests fleet-wide.
     pub total_requests: usize,
 }
 
@@ -301,7 +301,6 @@ pub fn run_fleet(config: &FleetConfig, telemetry: &zugchain_telemetry::Telemetry
             !segments.is_empty(),
             "train {train}: export produced no certified segment"
         );
-        assert!(sim.dc.verify_archive());
         let decided_height = sim.chains[0].height();
         let decided_head = sim.chains[0].head_hash();
         exported.push((train, sim.keystore, decided_height, decided_head, segments));

@@ -12,6 +12,7 @@
 
 use zugchain::NodeConfig;
 use zugchain_archive::{keyfile, Archive, AuditBundle};
+use zugchain_blockchain::{verify_chain, Block};
 use zugchain_crypto::Keystore;
 use zugchain_export::{
     DataCenter, DcAddr, DcConfig, DcEffect, DcId, ExportReplica, ReplicaExportConfig,
@@ -175,8 +176,13 @@ fn export_round(
         }
     }
     assert!(exported >= 4, "export moved only {exported} blocks");
-    assert!(dc.verify_archive());
-    dc.drain_certified_segments()
+    let segments = dc.drain_certified_segments();
+    // The queued segments form one hash chain from genesis to the data
+    // center's verified head.
+    let blocks: Vec<Block> = segments.iter().flat_map(|s| s.blocks.clone()).collect();
+    verify_chain(&blocks, Some(Block::genesis().hash())).expect("one chain from genesis");
+    assert_eq!(blocks.last().map(Block::hash), Some(dc.archive_hash()));
+    segments
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! pruned from the nodes with signed acknowledgements.
 
 use zugchain::NodeConfig;
+use zugchain_blockchain::{verify_chain, Block};
 use zugchain_crypto::Keystore;
 use zugchain_export::{
     DataCenter, DcAddr, DcConfig, DcEffect, DcId, ExportMessage, ExportReplica, ReplicaExportConfig,
@@ -10,6 +11,21 @@ use zugchain_export::{
 use zugchain_pbft::NodeId;
 use zugchain_sim::runtime::ThreadedCluster;
 use zugchain_wire::TrainId;
+
+/// Drains the certified segments `dc` queued for its archive and checks
+/// that their blocks form one hash chain from genesis ending at the data
+/// center's verified head.
+fn drained_chain(dc: &mut DataCenter) -> Vec<Block> {
+    let blocks: Vec<Block> = dc
+        .drain_certified_segments()
+        .into_iter()
+        .flat_map(|segment| segment.blocks)
+        .collect();
+    verify_chain(&blocks, Some(Block::genesis().hash())).expect("one chain from genesis");
+    assert_eq!(blocks.len() as u64, dc.archive_height());
+    assert_eq!(blocks.last().map(Block::hash), Some(dc.archive_hash()));
+    blocks
+}
 
 /// Runs a small cluster, returns per-node `(chain, proofs)` plus the
 /// replica keystore and key pairs.
@@ -124,11 +140,10 @@ fn full_export_round_against_live_chains() {
         }
     }
 
-    // Every replica pruned and acknowledged; both DCs hold verified,
-    // identical archives.
+    // Every replica pruned and acknowledged; both DCs verified, and
+    // queued for their archives, the identical chain from genesis.
     assert_eq!(delete_acks, 4);
-    assert!(dc0.verify_archive());
-    assert!(dc1.verify_archive());
+    assert_eq!(drained_chain(&mut dc0), drained_chain(&mut dc1));
     assert_eq!(dc0.archive_height(), dc1.archive_height());
     for (id, chain) in chains.iter().enumerate() {
         assert!(
@@ -141,13 +156,7 @@ fn full_export_round_against_live_chains() {
             "replica {id} has a prune proof"
         );
     }
-    assert_eq!(
-        dc0.acks_for(
-            dc0.archive_height(),
-            dc0.archive()[dc0.archive().len() - 1].hash()
-        ),
-        4
-    );
+    assert_eq!(dc0.acks_for(dc0.archive_height(), dc0.archive_hash()), 4);
 }
 
 #[test]
@@ -223,5 +232,5 @@ fn second_export_continues_from_pruned_chains() {
     let second = round(&mut dc, &mut replicas, &mut chains);
     assert_eq!(second, 0);
     assert_eq!(dc.archive_height(), height_after_first);
-    assert!(dc.verify_archive());
+    drained_chain(&mut dc);
 }
